@@ -4,9 +4,10 @@
 // throughput, batched Linear, and a full DP worker local step
 // (HonestDpWorker::ComputeUpdate) on both MLP and CNN models.
 //
-// Before timing, main() asserts the GEMM conv is bit-identical under
-// serial and parallel pools at the acceptance shape, mirroring
-// bench_micro's Krum determinism check.
+// Every layer bench drives a one-layer Sequential, so it times the same
+// stage driver the models use. Before timing, main() asserts the GEMM
+// conv is bit-identical under serial and parallel pools at the
+// acceptance shape, mirroring bench_micro's Krum determinism check.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,25 +44,58 @@ constexpr size_t kImg = 32;
 constexpr size_t kKernel = 3;
 constexpr size_t kPad = 1;
 
-Tensor RandomImage(uint64_t seed) {
+Tensor RandomTensor(std::vector<size_t> shape, uint64_t seed) {
   SplitRng rng(seed);
-  Tensor x({kInCh, kImg, kImg});
+  Tensor x(std::move(shape));
   x.FillGaussian(&rng, 1.0);
   return x;
 }
 
-nn::Conv2d MakeConv(nn::Conv2dKernel kernel) {
-  nn::Conv2d conv(kInCh, kOutCh, kKernel, kPad, kernel);
-  SplitRng rng(3);
-  conv.InitParams(&rng);
-  return conv;
+// One acceptance-shape image as a microbatch of one.
+Tensor RandomImage(uint64_t seed) {
+  return RandomTensor({1, kInCh, kImg, kImg}, seed);
 }
 
+// Layers execute only through a Sequential's plan; a lone layer runs as
+// a one-group stage, the same driver every model uses.
+std::unique_ptr<nn::Sequential> Solo(nn::LayerPtr layer) {
+  auto m = std::make_unique<nn::Sequential>();
+  m->Add(std::move(layer));
+  SplitRng rng(3);
+  m->InitParams(&rng);
+  return m;
+}
+
+std::unique_ptr<nn::Sequential> MakeConv(nn::Conv2dKernel kernel) {
+  return Solo(
+      std::make_unique<nn::Conv2d>(kInCh, kOutCh, kKernel, kPad, kernel));
+}
+
+// Example `ex` of a batch-leading tensor, as a microbatch of one.
+Tensor ExampleOf(const Tensor& batch, size_t ex) {
+  size_t feat = batch.size() / batch.dim(0);
+  std::vector<size_t> shape = batch.shape();
+  shape[0] = 1;
+  return Tensor(shape, std::vector<float>(batch.data() + ex * feat,
+                                          batch.data() + (ex + 1) * feat));
+}
+
+std::vector<Tensor> ExamplesOf(const Tensor& batch) {
+  std::vector<Tensor> out;
+  for (size_t ex = 0; ex < batch.dim(0); ++ex) {
+    out.push_back(ExampleOf(batch, ex));
+  }
+  return out;
+}
+
+// --- Single-example conv: one example per call through the stage
+// driver (what a per-example reference costs).
+
 void ConvForward(benchmark::State& state, nn::Conv2dKernel kernel) {
-  nn::Conv2d conv = MakeConv(kernel);
+  std::unique_ptr<nn::Sequential> conv = MakeConv(kernel);
   Tensor x = RandomImage(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x));
+    benchmark::DoNotOptimize(conv->ForwardBatch(x));
   }
   state.SetItemsProcessed(state.iterations() * kOutCh * kImg * kImg);
 }
@@ -76,15 +111,12 @@ void BM_Conv2dForwardNaive(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardNaive)->Unit(benchmark::kMicrosecond);
 
 void ConvBackward(benchmark::State& state, nn::Conv2dKernel kernel) {
-  nn::Conv2d conv = MakeConv(kernel);
+  std::unique_ptr<nn::Sequential> conv = MakeConv(kernel);
   Tensor x = RandomImage(5);
-  Tensor y = conv.Forward(x);
-  SplitRng rng(7);
-  Tensor gy(y.shape());
-  gy.FillGaussian(&rng, 1.0);
+  Tensor gy = RandomTensor(conv->ForwardBatch(x).shape(), 7);
+  std::vector<float> grads(conv->NumParams());
   for (auto _ : state) {
-    conv.ZeroGrad();
-    benchmark::DoNotOptimize(conv.Backward(gy));
+    benchmark::DoNotOptimize(conv->BackwardBatchTo(gy, 1, grads.data()));
   }
   state.SetItemsProcessed(state.iterations() * kOutCh * kImg * kImg);
 }
@@ -99,23 +131,20 @@ void BM_Conv2dBackwardNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackwardNaive)->Unit(benchmark::kMicrosecond);
 
-// --- Batched conv forward: the fused single-GEMM path against the same
-// work run example-by-example (what ForwardBatch did before the fusion).
+// --- Batched conv forward: one dispatch for the microbatch against the
+// same work run as kBatch microbatches of one.
 
 constexpr size_t kBatch = 16;
 
 Tensor RandomBatch(uint64_t seed) {
-  SplitRng rng(seed);
-  Tensor x({kBatch, kInCh, kImg, kImg});
-  x.FillGaussian(&rng, 1.0);
-  return x;
+  return RandomTensor({kBatch, kInCh, kImg, kImg}, seed);
 }
 
 void BM_Conv2dForwardBatch(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
   Tensor x = RandomBatch(13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.ForwardBatch(x));
+    benchmark::DoNotOptimize(conv->ForwardBatch(x));
   }
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
@@ -123,19 +152,11 @@ void BM_Conv2dForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
-  Tensor x = RandomBatch(13);
-  size_t feat = kInCh * kImg * kImg;
-  std::vector<Tensor> examples;
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    examples.emplace_back(
-        std::vector<size_t>{kInCh, kImg, kImg},
-        std::vector<float>(x.data() + ex * feat,
-                           x.data() + (ex + 1) * feat));
-  }
+  std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
+  std::vector<Tensor> examples = ExamplesOf(RandomBatch(13));
   for (auto _ : state) {
     for (const Tensor& example : examples) {
-      benchmark::DoNotOptimize(conv.Forward(example));
+      benchmark::DoNotOptimize(conv->ForwardBatch(example));
     }
   }
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
@@ -143,25 +164,20 @@ void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
-// --- Batched conv backward: the fused single-dispatch path (per-example
+// --- Batched conv backward: the single-dispatch microbatch (per-example
 // dW/db rows into the sink + dX via col2im) against the same work run
-// example by example. The cached-state contract ties every per-example
-// Backward to its own Forward, so both sides time a full
-// forward+backward round trip — the forward work is identical, so the
-// ratio isolates the backward dispatch shape.
+// as microbatches of one. Both sides time a full forward+backward round
+// trip (each backward consumes its own forward's caches) — the forward
+// work is identical, so the ratio isolates the dispatch shape.
 
 void BM_Conv2dBackwardBatch(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
   Tensor x = RandomBatch(13);
-  SplitRng rng(29);
-  Tensor gy({kBatch, kOutCh, kImg, kImg});
-  gy.FillGaussian(&rng, 1.0);
-  size_t dim = conv.NumParams();
-  std::vector<float> sink(kBatch * dim);
+  Tensor gy = RandomTensor({kBatch, kOutCh, kImg, kImg}, 29);
+  std::vector<float> sink(kBatch * conv->NumParams());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.ForwardBatch(x));
-    std::fill(sink.begin(), sink.end(), 0.0f);
-    benchmark::DoNotOptimize(conv.BackwardBatch(gy, {sink.data(), dim, 0}));
+    benchmark::DoNotOptimize(conv->ForwardBatch(x));
+    benchmark::DoNotOptimize(conv->BackwardBatchTo(gy, kBatch, sink.data()));
   }
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
@@ -169,28 +185,16 @@ void BM_Conv2dBackwardBatch(benchmark::State& state) {
 BENCHMARK(BM_Conv2dBackwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
-  Tensor x = RandomBatch(13);
-  SplitRng rng(29);
-  Tensor gyb({kBatch, kOutCh, kImg, kImg});
-  gyb.FillGaussian(&rng, 1.0);
-  size_t feat = kInCh * kImg * kImg;
-  size_t out_stride = kOutCh * kImg * kImg;
-  std::vector<Tensor> examples, grads;
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    examples.emplace_back(
-        std::vector<size_t>{kInCh, kImg, kImg},
-        std::vector<float>(x.data() + ex * feat, x.data() + (ex + 1) * feat));
-    grads.emplace_back(
-        std::vector<size_t>{kOutCh, kImg, kImg},
-        std::vector<float>(gyb.data() + ex * out_stride,
-                           gyb.data() + (ex + 1) * out_stride));
-  }
+  std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
+  std::vector<Tensor> examples = ExamplesOf(RandomBatch(13));
+  std::vector<Tensor> grads =
+      ExamplesOf(RandomTensor({kBatch, kOutCh, kImg, kImg}, 29));
+  std::vector<float> row(conv->NumParams());
   for (auto _ : state) {
     for (size_t ex = 0; ex < kBatch; ++ex) {
-      benchmark::DoNotOptimize(conv.Forward(examples[ex]));
-      conv.ZeroGrad();
-      benchmark::DoNotOptimize(conv.Backward(grads[ex]));
+      benchmark::DoNotOptimize(conv->ForwardBatch(examples[ex]));
+      benchmark::DoNotOptimize(
+          conv->BackwardBatchTo(grads[ex], 1, row.data()));
     }
   }
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
@@ -199,96 +203,79 @@ void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
 BENCHMARK(BM_Conv2dBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
 // Batched Linear backward (one dispatch: dW/db sink rows + dX rows) at
-// the e2e model shape, against the per-example reference.
+// the e2e model shape, against microbatches of one.
 void BM_LinearBackwardBatch(benchmark::State& state) {
-  nn::Linear linear(512, 32);
-  SplitRng rng(11);
-  linear.InitParams(&rng);
-  Tensor x({16, 512});
-  x.FillGaussian(&rng, 1.0);
-  Tensor gy({16, 32});
-  gy.FillGaussian(&rng, 1.0);
-  size_t dim = linear.NumParams();
-  std::vector<float> sink(16 * dim);
+  std::unique_ptr<nn::Sequential> linear =
+      Solo(std::make_unique<nn::Linear>(512, 32));
+  Tensor x = RandomTensor({16, 512}, 11);
+  Tensor gy = RandomTensor({16, 32}, 12);
+  std::vector<float> sink(16 * linear->NumParams());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linear.ForwardBatch(x));
-    std::fill(sink.begin(), sink.end(), 0.0f);
-    benchmark::DoNotOptimize(
-        linear.BackwardBatch(gy, {sink.data(), dim, 0}));
+    benchmark::DoNotOptimize(linear->ForwardBatch(x));
+    benchmark::DoNotOptimize(linear->BackwardBatchTo(gy, 16, sink.data()));
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
 }
 BENCHMARK(BM_LinearBackwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_LinearBackwardBatchPerExample(benchmark::State& state) {
-  nn::Linear linear(512, 32);
-  SplitRng rng(11);
-  linear.InitParams(&rng);
-  Tensor xb({16, 512});
-  xb.FillGaussian(&rng, 1.0);
-  Tensor gyb({16, 32});
-  gyb.FillGaussian(&rng, 1.0);
-  std::vector<Tensor> examples, grads;
-  for (size_t ex = 0; ex < 16; ++ex) {
-    examples.emplace_back(
-        std::vector<size_t>{512},
-        std::vector<float>(xb.data() + ex * 512,
-                           xb.data() + (ex + 1) * 512));
-    grads.emplace_back(std::vector<size_t>{32},
-                       std::vector<float>(gyb.data() + ex * 32,
-                                          gyb.data() + (ex + 1) * 32));
-  }
+  std::unique_ptr<nn::Sequential> linear =
+      Solo(std::make_unique<nn::Linear>(512, 32));
+  std::vector<Tensor> examples = ExamplesOf(RandomTensor({16, 512}, 11));
+  std::vector<Tensor> grads = ExamplesOf(RandomTensor({16, 32}, 12));
+  std::vector<float> row(linear->NumParams());
   for (auto _ : state) {
     for (size_t ex = 0; ex < 16; ++ex) {
-      benchmark::DoNotOptimize(linear.Forward(examples[ex]));
-      linear.ZeroGrad();
-      benchmark::DoNotOptimize(linear.Backward(grads[ex]));
+      benchmark::DoNotOptimize(linear->ForwardBatch(examples[ex]));
+      benchmark::DoNotOptimize(
+          linear->BackwardBatchTo(grads[ex], 1, row.data()));
     }
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
 }
 BENCHMARK(BM_LinearBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
 
-// --- Batched GroupNorm / pooling: one threaded dispatch per microbatch
-// (previously a serial per-example loop inside ForwardBatch). Shape is
-// the post-conv CNN stage activation: (16, 32, 32, 32).
+// --- GroupNorm / pooling as one-layer stages: one threaded dispatch per
+// microbatch. Shape is the post-conv CNN stage activation:
+// (16, 32, 32, 32).
 
 Tensor RandomStageBatch(uint64_t seed) {
-  SplitRng rng(seed);
-  Tensor x({kBatch, kOutCh, kImg, kImg});
-  x.FillGaussian(&rng, 1.0);
-  return x;
+  return RandomTensor({kBatch, kOutCh, kImg, kImg}, seed);
+}
+
+std::unique_ptr<nn::Sequential> MakeGroupNorm() {
+  return Solo(std::make_unique<nn::GroupNorm>(4, kOutCh, 1e-5,
+                                              /*affine=*/false));
 }
 
 void BM_GroupNormForwardBatch(benchmark::State& state) {
-  nn::GroupNorm gn(4, kOutCh, 1e-5, /*affine=*/false);
+  std::unique_ptr<nn::Sequential> gn = MakeGroupNorm();
   Tensor x = RandomStageBatch(17);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gn.ForwardBatch(x));
+    benchmark::DoNotOptimize(gn->ForwardBatch(x));
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
 BENCHMARK(BM_GroupNormForwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_GroupNormBackwardBatch(benchmark::State& state) {
-  nn::GroupNorm gn(4, kOutCh, 1e-5, /*affine=*/false);
+  std::unique_ptr<nn::Sequential> gn = MakeGroupNorm();
   Tensor x = RandomStageBatch(17);
-  Tensor y = gn.ForwardBatch(x);
-  SplitRng rng(19);
-  Tensor gy(y.shape());
-  gy.FillGaussian(&rng, 1.0);
+  Tensor gy = RandomTensor(gn->ForwardBatch(x).shape(), 19);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gn.BackwardBatch(gy, {}));
+    // No parameters (affine=false): the sink is never touched.
+    benchmark::DoNotOptimize(gn->BackwardBatch(gy, {}));
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
 BENCHMARK(BM_GroupNormBackwardBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_PoolForwardBatch(benchmark::State& state) {
-  nn::AdaptiveAvgPool2d pool(4, 4);
+  std::unique_ptr<nn::Sequential> pool =
+      Solo(std::make_unique<nn::AdaptiveAvgPool2d>(4, 4));
   Tensor x = RandomStageBatch(23);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.ForwardBatch(x));
+    benchmark::DoNotOptimize(pool->ForwardBatch(x));
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
@@ -312,13 +299,11 @@ BENCHMARK(BM_GemmConvShape)->Unit(benchmark::kMicrosecond);
 
 // Batched Linear forward at the e2e model shape (batch 16, 512→32).
 void BM_LinearForwardBatch(benchmark::State& state) {
-  nn::Linear linear(512, 32);
-  SplitRng rng(11);
-  linear.InitParams(&rng);
-  Tensor x({16, 512});
-  x.FillGaussian(&rng, 1.0);
+  std::unique_ptr<nn::Sequential> linear =
+      Solo(std::make_unique<nn::Linear>(512, 32));
+  Tensor x = RandomTensor({16, 512}, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linear.ForwardBatch(x));
+    benchmark::DoNotOptimize(linear->ForwardBatch(x));
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
 }
@@ -388,9 +373,9 @@ void BM_LocalStepCnn(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond);
 
-// --- Whole-CNN batched step, fused (FusionPlan active, ~3 dispatches
-// per direction) against the plain one-dispatch-per-layer loop
-// (SetFusionEnabled(false)). Forward-only and forward+loss+backward
+// --- Whole-CNN batched step, fused (one stage, one dispatch per
+// direction) against one stage per layer (SetFusionEnabled(false)), both
+// through the same hooks. Forward-only and forward+loss+backward
 // variants; the fused/unfused pairs feed parity-floor ratio gates in
 // scripts/check_bench_regression.py. The backward variants time the
 // full round trip (the cached-state contract ties each backward to its
@@ -428,8 +413,8 @@ BENCHMARK(BM_LocalStepCnnForwardUnfused)->Unit(benchmark::kMillisecond);
 
 // The backward-dominated unit of the worker step in isolation: batched
 // forward + loss + per-example-gradient backward through the whole CNN.
-// This is the surface the batched backward GEMMs and the fused stages
-// accelerate (BM_LocalStepCnn adds clipping, momentum and noise on top).
+// This is the surface the stage driver accelerates (BM_LocalStepCnn
+// adds clipping, momentum and noise on top).
 void LocalStepCnnBackward(benchmark::State& state, bool fused) {
   SplitRng rng(31);
   std::unique_ptr<nn::Sequential> model = StepCnn(fused, &rng);
@@ -460,6 +445,12 @@ void BM_LocalStepCnnBackwardUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStepCnnBackwardUnfused)->Unit(benchmark::kMillisecond);
 
+// Reports a determinism failure and exits, failing the bench smoke job.
+void Fail(const char* what) {
+  std::fprintf(stderr, "FATAL: %s\n", what);
+  std::exit(1);
+}
+
 // GEMM conv must agree with itself bit-for-bit across pool sizes, and
 // with the naive kernel to 1e-4 — checked before the timing loops so a
 // regression fails the bench smoke job loudly.
@@ -470,93 +461,56 @@ void CheckConvDeterminism() {
   for (size_t threads : {size_t{1}, size_t{2}, hw}) {
     ThreadPool pool(threads);
     ScopedPoolOverride override_pool(&pool);
-    nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
-    outs.push_back(conv.Forward(x));
+    outs.push_back(MakeConv(nn::Conv2dKernel::kGemm)->ForwardBatch(x));
   }
   for (size_t i = 1; i < outs.size(); ++i) {
     for (size_t j = 0; j < outs[0].size(); ++j) {
-      if (outs[0][j] != outs[i][j]) {
-        std::fprintf(stderr,
-                     "FATAL: GEMM conv differs across pool sizes\n");
-        std::exit(1);
-      }
+      if (outs[0][j] != outs[i][j]) Fail("GEMM conv differs across pools");
     }
   }
-  nn::Conv2d naive = MakeConv(nn::Conv2dKernel::kNaive);
-  Tensor yn = naive.Forward(x);
+  Tensor yn = MakeConv(nn::Conv2dKernel::kNaive)->ForwardBatch(x);
   for (size_t j = 0; j < yn.size(); ++j) {
     double scale = std::max(1.0, std::abs(static_cast<double>(yn[j])));
     if (std::abs(static_cast<double>(yn[j]) - outs[0][j]) > 1e-4 * scale) {
-      std::fprintf(stderr, "FATAL: GEMM conv diverges from naive kernel\n");
-      std::exit(1);
+      Fail("GEMM conv diverges from naive kernel");
     }
   }
-  // The fused batch forward must reproduce the per-example forward bit
-  // for bit (same per-element accumulation order).
-  nn::Conv2d conv = MakeConv(nn::Conv2dKernel::kGemm);
+  // The batch forward+backward (one dispatch each) must reproduce its
+  // examples run as microbatches of one, bit for bit: output, dX and
+  // each example's sink row.
+  std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
   Tensor xb = RandomBatch(13);
-  Tensor yb = conv.ForwardBatch(xb);
+  Tensor gyb = RandomTensor({kBatch, kOutCh, kImg, kImg}, 37);
+  size_t dim = conv->NumParams();
+  std::vector<float> sink(kBatch * dim);
+  Tensor yb = conv->ForwardBatch(xb);
+  Tensor dxb = conv->BackwardBatchTo(gyb, kBatch, sink.data());
   size_t feat = kInCh * kImg * kImg;
   size_t out_stride = kOutCh * kImg * kImg;
+  std::vector<float> row(dim);
   for (size_t ex = 0; ex < kBatch; ++ex) {
-    Tensor one({kInCh, kImg, kImg},
-               std::vector<float>(xb.data() + ex * feat,
-                                  xb.data() + (ex + 1) * feat));
-    Tensor y = conv.Forward(one);
-    for (size_t j = 0; j < y.size(); ++j) {
+    Tensor y = conv->ForwardBatch(ExampleOf(xb, ex));
+    Tensor dx = conv->BackwardBatchTo(ExampleOf(gyb, ex), 1, row.data());
+    for (size_t j = 0; j < out_stride; ++j) {
       if (yb[ex * out_stride + j] != y[j]) {
-        std::fprintf(
-            stderr,
-            "FATAL: fused batch-conv forward differs from per-example\n");
-        std::exit(1);
+        Fail("batch conv forward differs from batch-of-1");
       }
     }
-  }
-  // The fused batch backward (one dispatch: sink dW/db rows + col2im dX)
-  // must likewise reproduce the per-example backward bit for bit.
-  SplitRng grng(37);
-  Tensor gyb({kBatch, kOutCh, kImg, kImg});
-  gyb.FillGaussian(&grng, 1.0);
-  size_t dim = conv.NumParams();
-  std::vector<float> sink(kBatch * dim, 0.0f);
-  conv.ForwardBatch(xb);  // re-arm the batched caches after the loop above
-  Tensor dxb = conv.BackwardBatch(gyb, {sink.data(), dim, 0});
-  for (size_t ex = 0; ex < kBatch; ++ex) {
-    Tensor one({kInCh, kImg, kImg},
-               std::vector<float>(xb.data() + ex * feat,
-                                  xb.data() + (ex + 1) * feat));
-    Tensor gy({kOutCh, kImg, kImg},
-              std::vector<float>(gyb.data() + ex * out_stride,
-                                 gyb.data() + (ex + 1) * out_stride));
-    conv.Forward(one);
-    conv.ZeroGrad();
-    Tensor dx = conv.Backward(gy);
-    std::vector<float> ex_grads;
-    for (const nn::ParamView& v : conv.Params()) {
-      ex_grads.insert(ex_grads.end(), v.grad, v.grad + v.size);
-    }
-    for (size_t j = 0; j < dx.size(); ++j) {
+    for (size_t j = 0; j < feat; ++j) {
       if (dxb[ex * feat + j] != dx[j]) {
-        std::fprintf(
-            stderr,
-            "FATAL: fused batch-conv backward dX differs from "
-            "per-example\n");
-        std::exit(1);
+        Fail("batch conv backward dX differs from batch-of-1");
       }
     }
     for (size_t j = 0; j < dim; ++j) {
-      if (sink[ex * dim + j] != ex_grads[j]) {
-        std::fprintf(stderr,
-                     "FATAL: fused batch-conv backward sink row differs "
-                     "from per-example gradients\n");
-        std::exit(1);
+      if (sink[ex * dim + j] != row[j]) {
+        Fail("batch conv backward sink row differs from batch-of-1");
       }
     }
   }
   std::fprintf(stderr,
                "conv determinism check: pools {1,2,%zu} bit-identical, "
-               "naive agreement within 1e-4, fused batch fwd+bwd == "
-               "per-example\n",
+               "naive agreement within 1e-4, batch fwd+bwd == "
+               "batch-of-1\n",
                hw);
 }
 

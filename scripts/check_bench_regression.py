@@ -86,8 +86,9 @@ RATIO_GATES = [
         "GEMM conv forward >= 3x naive reference",
     ),
     # Parity floors for the batched backward dispatches: on one core the
-    # fused single-dispatch backward sits at parity with the per-example
-    # loop (identical serial per-element work; the multi-core win from
+    # single-dispatch microbatch backward sits at parity with the loop
+    # over microbatches of one (identical serial per-element work, same
+    # stage driver; the multi-core win from
     # example-level parallelism only shows on CI runners — see
     # BENCH_ci.json), so the bound is parity minus run-to-run noise
     # (~8% observed at min_time=0.05). A lost fused path fails this by a
@@ -103,19 +104,17 @@ RATIO_GATES = [
     # Linear's floor is lower: its dW is memory-bound, and the batched
     # side streams one distinct 64 KB sink row per example (the
     # per-example separation DP clipping requires) where the reference
-    # rewrites a single cache-hot grad buffer — on one core that costs
-    # ~10% at parity. Multi-core runners flip it decisively: the batched
-    # dispatch parallelizes over examples while the m=1 per-example
-    # GEMMs cannot parallelize at all.
+    # rewrites a single cache-hot row — on one core that costs ~10% at
+    # parity.
     (
         "BM_LinearBackwardBatchPerExample",
         "BM_LinearBackwardBatch",
         0.85,
         "batched linear backward >= per-example loop (parity floor)",
     ),
-    # Stage-fusion floors: the fused whole-CNN batched step (FusionPlan
-    # active, ~3 dispatches per direction) against the plain per-layer
-    # loop in the SAME run. Flop count and accumulation order are
+    # Stage-fusion floors: the fused whole-CNN batched step (one stage,
+    # one dispatch per direction) against one stage per layer in the
+    # SAME run. Flop count and accumulation order are
     # bitwise identical; the fused win is dispatch amortization plus
     # panel locality (intermediate activations stay in per-thread
     # panels instead of round-tripping full batch tensors), so on one

@@ -31,6 +31,10 @@ Check families (each finding is tagged `[family-check]`):
                                       dispatcher
   status           status-discard     a Status/Result-returning call used
                                       as a bare expression statement
+  nn               nn-dispatch        ParallelFor[Blocked] called from a
+                                      src/nn/ file other than the stage
+                                      driver (fusion.cc) and the GEMM
+                                      kernels (gemm.cc)
 
 Backend: parses with python libclang when the `clang` bindings are
 importable (exact token stream from the real compiler frontend), else a
@@ -108,6 +112,11 @@ NONDET_UNORDERED = {
 }
 
 PARALLEL_DISPATCHERS = {"ParallelFor", "ParallelForBlocked"}
+# The only src/nn/ files that may dispatch to the pool: the stage driver
+# and the GEMM kernels it runs inline. Every layer executes inside a
+# stage's per-example task (src/nn/layer.h), so a dispatch anywhere else
+# in src/nn/ is a second execution path.
+NN_DISPATCH_FILES = {"src/nn/fusion.cc", "src/nn/gemm.cc"}
 HOTPATH_ALLOC_CALLS = {
     "malloc", "calloc", "realloc", "free",
     "push_back", "emplace_back", "resize", "reserve", "assign",
@@ -142,6 +151,7 @@ ALL_CHECKS = [
     "hotpath-alloc", "hotpath-lock", "hotpath-io",
     "simd-mflags", "simd-intrinsics", "simd-internal",
     "status-discard",
+    "nn-dispatch",
 ]
 
 # ---------------------------------------------------------------------------
@@ -508,6 +518,27 @@ def _scan_hot_body(rel, ct, lo, hi, findings):
 
 
 # ---------------------------------------------------------------------------
+# Check family: nn single driver
+# ---------------------------------------------------------------------------
+
+
+def check_nn_dispatch(rel, toks, findings):
+    rel = rel.replace(os.sep, "/")
+    if not rel.startswith("src/nn/") or rel in NN_DISPATCH_FILES:
+        return
+    ct = code_tokens(toks)
+    for i, t in enumerate(ct):
+        if (t.kind == "ident" and t.text in PARALLEL_DISPATCHERS
+                and i + 1 < len(ct) and ct[i + 1].text == "("):
+            findings.append(Finding(
+                rel, t.line, "nn-dispatch",
+                f"'{t.text}' in a layer file; layers run inside a "
+                "stage's per-example task, and only the stage driver "
+                "(src/nn/fusion.cc) and the GEMM kernels "
+                "(src/nn/gemm.cc) may dispatch"))
+
+
+# ---------------------------------------------------------------------------
 # Check family: SIMD TU hygiene
 # ---------------------------------------------------------------------------
 
@@ -706,6 +737,7 @@ def run_checks(path, compile_args, status_fns):
     check_nondeterminism(rel, toks, findings)
     check_hotpath(rel, toks, findings)
     check_status_discipline(rel, toks, status_fns, findings)
+    check_nn_dispatch(rel, toks, findings)
     allowed = collect_suppressions(toks)
     kept = []
     for f in findings:
@@ -787,6 +819,7 @@ def self_test(fixture_dir):
         check_nondeterminism(rel, toks, findings)
         check_hotpath(rel, toks, findings)
         check_status_discipline(rel, toks, status_fns, findings)
+        check_nn_dispatch(rel, toks, findings)
         allowed = collect_suppressions(toks)
         findings = [f for f in findings
                     if f.check not in allowed.get(f.line, ())

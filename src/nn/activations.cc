@@ -1,11 +1,8 @@
 #include "nn/activations.h"
 
-#include <cmath>
 #include <cstring>
 
-#include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace dpbr {
 namespace nn {
@@ -13,172 +10,71 @@ namespace {
 
 constexpr size_t kOutSlot = 0;  // cached output(s)
 
-// Elements per task in the batched elementwise dispatches. Fixed, so the
-// split depends on the tensor size only; every element is independent,
-// making the parallel result trivially bitwise equal to the serial loop.
-constexpr size_t kEltBlock = 4096;
-
-}  // namespace
-
-Tensor Elu::Forward(const Tensor& x) {
-  Tensor y = x;
-  float a = static_cast<float>(alpha_);
-  float* cached = ws_.Get(kOutSlot, y.size());
-  simd::Kernels().elu_f32(y.data(), y.size(), a);
-  std::memcpy(cached, y.data(), y.size() * sizeof(float));
-  state_.SetPerExample(x.shape());
-  return y;
-}
-
-Tensor Elu::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  DPBR_CHECK(grad_out.shape() == in);
-  Tensor dx = grad_out;
-  float a = static_cast<float>(alpha_);
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  simd::Kernels().elu_grad_f32(dx.data(), y, dx.size(), a);
-  return dx;
-}
-
-Tensor Elu::ForwardBatch(const Tensor& x) {
-  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  Tensor y = x;
-  float a = static_cast<float>(alpha_);
-  float* cached = ws_.Get(kOutSlot, y.size());
-  float* yd = y.data();
-  state_.SetBatched(x.shape());
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(y.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.elu_f32(yd + lo, hi - lo, a);
-    std::memcpy(cached + lo, yd + lo, (hi - lo) * sizeof(float));
-  });
-  return y;
-}
-
-Tensor Elu::BackwardBatch(const Tensor& grad_out,
-                          const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  RequireGradShape(grad_out, in);
-  Tensor dx = grad_out;
-  float a = static_cast<float>(alpha_);
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  float* dxd = dx.data();
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(dx.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.elu_grad_f32(dxd + lo, y + lo, hi - lo, a);
-  });
-  return dx;
-}
-
-std::vector<size_t> Elu::FuseForwardPrepare(
-    size_t batch, const std::vector<size_t>& in_shape) {
-  fused_n_ = 1;
-  for (size_t d : in_shape) fused_n_ *= d;
-  fused_cache_ = ws_.Get(kOutSlot, batch * fused_n_);
+// Shared forward prepare of the elementwise epilogues: sizes the output
+// cache for `batch` examples of `in_shape` and records the state.
+std::vector<size_t> PrepareElementwise(size_t batch,
+                                       const std::vector<size_t>& in_shape,
+                                       Workspace* ws, BatchState* state,
+                                       size_t* n, float** cache) {
+  *n = 1;
+  for (size_t d : in_shape) *n *= d;
+  *cache = ws->Get(kOutSlot, batch * *n);
   std::vector<size_t> shape;
   shape.reserve(in_shape.size() + 1);
   shape.push_back(batch);
   shape.insert(shape.end(), in_shape.begin(), in_shape.end());
-  state_.SetBatchedFused(shape);
+  state->SetBatched(shape);
   return in_shape;
 }
 
+// Shared backward prepare: re-derives the element count and cache.
+void PrepareElementwiseBackward(const std::vector<size_t>& in, Workspace* ws,
+                                size_t* n, float** cache) {
+  *n = 1;
+  for (size_t i = 1; i < in.size(); ++i) *n *= in[i];
+  *cache = ws->Get(kOutSlot, in[0] * *n);
+}
+
+}  // namespace
+
+std::vector<size_t> Elu::FuseForwardPrepare(
+    size_t batch, const std::vector<size_t>& in_shape) {
+  return PrepareElementwise(batch, in_shape, &ws_, &state_, &n_, &cache_);
+}
+
 void Elu::FuseForwardEpilogue(size_t ex, float* block) {
-  // In place on the anchor's hot panel; the elementwise kernel is
-  // chunking-invariant, so this equals the unfused blocked dispatch.
   float a = static_cast<float>(alpha_);
-  simd::Kernels().elu_f32(block, fused_n_, a);
-  std::memcpy(fused_cache_ + ex * fused_n_, block, fused_n_ * sizeof(float));
+  simd::Kernels().elu_f32(block, n_, a);
+  std::memcpy(cache_ + ex * n_, block, n_ * sizeof(float));
 }
 
 void Elu::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  fused_n_ = 1;
-  for (size_t i = 1; i < in.size(); ++i) fused_n_ *= in[i];
-  fused_cache_ = ws_.Get(kOutSlot, in[0] * fused_n_);
+  PrepareElementwiseBackward(RequireBatchedState(), &ws_, &n_, &cache_);
 }
 
 void Elu::FuseBackwardEpilogue(size_t ex, float* block,
                                const PerExampleGradSink& /*sink*/) {
   float a = static_cast<float>(alpha_);
-  simd::Kernels().elu_grad_f32(block, fused_cache_ + ex * fused_n_, fused_n_,
-                               a);
-}
-
-Tensor Relu::Forward(const Tensor& x) {
-  Tensor y = x;
-  float* cached = ws_.Get(kOutSlot, y.size());
-  simd::Kernels().relu_f32(y.data(), y.size());
-  std::memcpy(cached, y.data(), y.size() * sizeof(float));
-  state_.SetPerExample(x.shape());
-  return y;
-}
-
-Tensor Relu::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  DPBR_CHECK(grad_out.shape() == in);
-  Tensor dx = grad_out;
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  simd::Kernels().relu_grad_f32(dx.data(), y, dx.size());
-  return dx;
-}
-
-Tensor Relu::ForwardBatch(const Tensor& x) {
-  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  Tensor y = x;
-  float* cached = ws_.Get(kOutSlot, y.size());
-  float* yd = y.data();
-  state_.SetBatched(x.shape());
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(y.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.relu_f32(yd + lo, hi - lo);
-    std::memcpy(cached + lo, yd + lo, (hi - lo) * sizeof(float));
-  });
-  return y;
-}
-
-Tensor Relu::BackwardBatch(const Tensor& grad_out,
-                           const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  RequireGradShape(grad_out, in);
-  Tensor dx = grad_out;
-  const float* y = ws_.Get(kOutSlot, dx.size());
-  float* dxd = dx.data();
-  const simd::SimdKernels& kern = simd::Kernels();
-  ParallelForBlocked(dx.size(), kEltBlock, [&](size_t lo, size_t hi) {
-    kern.relu_grad_f32(dxd + lo, y + lo, hi - lo);
-  });
-  return dx;
+  simd::Kernels().elu_grad_f32(block, cache_ + ex * n_, n_, a);
 }
 
 std::vector<size_t> Relu::FuseForwardPrepare(
     size_t batch, const std::vector<size_t>& in_shape) {
-  fused_n_ = 1;
-  for (size_t d : in_shape) fused_n_ *= d;
-  fused_cache_ = ws_.Get(kOutSlot, batch * fused_n_);
-  std::vector<size_t> shape;
-  shape.reserve(in_shape.size() + 1);
-  shape.push_back(batch);
-  shape.insert(shape.end(), in_shape.begin(), in_shape.end());
-  state_.SetBatchedFused(shape);
-  return in_shape;
+  return PrepareElementwise(batch, in_shape, &ws_, &state_, &n_, &cache_);
 }
 
 void Relu::FuseForwardEpilogue(size_t ex, float* block) {
-  simd::Kernels().relu_f32(block, fused_n_);
-  std::memcpy(fused_cache_ + ex * fused_n_, block, fused_n_ * sizeof(float));
+  simd::Kernels().relu_f32(block, n_);
+  std::memcpy(cache_ + ex * n_, block, n_ * sizeof(float));
 }
 
 void Relu::FuseBackwardPrepare() {
-  const std::vector<size_t>& in = RequireBatchedState();
-  fused_n_ = 1;
-  for (size_t i = 1; i < in.size(); ++i) fused_n_ *= in[i];
-  fused_cache_ = ws_.Get(kOutSlot, in[0] * fused_n_);
+  PrepareElementwiseBackward(RequireBatchedState(), &ws_, &n_, &cache_);
 }
 
 void Relu::FuseBackwardEpilogue(size_t ex, float* block,
                                 const PerExampleGradSink& /*sink*/) {
-  simd::Kernels().relu_grad_f32(block, fused_cache_ + ex * fused_n_, fused_n_);
+  simd::Kernels().relu_grad_f32(block, cache_ + ex * n_, n_);
 }
 
 }  // namespace nn

@@ -1,13 +1,10 @@
-// Elementwise activation layers: ELU (the paper's networks) and ReLU.
+// Elementwise activation layers: ELU (the paper's networks) and ReLU,
+// both stage epilogues (nn/layer.h) that transform the block in place.
 //
 // Both cache only their *output*: each function's derivative is
 // recoverable from the output sign (x <= 0 ⟺ y <= 0 for ELU, y == 0 for
-// ReLU), which halves the cached state. The cached output lives in a
-// grow-only Workspace slot shared between the per-example and batched
-// paths under a BatchState guard, and the batched path runs the whole
-// microbatch as one threaded elementwise dispatch (fixed block size, so
-// the split is shape-only and results are bitwise equal to the
-// per-example loop under any pool size).
+// ReLU), which halves the cached state. The cached outputs live in a
+// grow-only Workspace slot at each example's offset.
 
 #ifndef DPBR_NN_ACTIVATIONS_H_
 #define DPBR_NN_ACTIVATIONS_H_
@@ -25,17 +22,9 @@ class Elu : public Layer {
  public:
   explicit Elu(double alpha = 1.0) : alpha_(alpha) {}
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::string name() const override { return "ELU"; }
 
-  // Stage-fusion epilogue: in-place elementwise transform of the
-  // anchor's output block, caching the output at the example's offset —
-  // the same elu_f32 / elu_grad_f32 kernels as the unfused dispatches,
-  // so fused == unfused bitwise.
+  // Stage epilogue: elu_f32 / elu_grad_f32 on the example's block.
   FusionInfo fusion_info() const override {
     return {/*anchor=*/false, /*epilogue=*/true};
   }
@@ -49,23 +38,18 @@ class Elu : public Layer {
  private:
   double alpha_;
   Workspace ws_;  // slot 0: cached output(s)
-  // Fused per-example element count and cache pointer (stashed by the
-  // serial prepare hooks; in-dispatch hooks never grow the Workspace).
-  size_t fused_n_ = 0;
-  float* fused_cache_ = nullptr;
+  // Per-example element count and cache pointer (stashed by the serial
+  // prepare hooks; in-dispatch hooks never grow the Workspace).
+  size_t n_ = 0;
+  float* cache_ = nullptr;
 };
 
 /// ReLU(x) = max(x, 0).
 class Relu : public Layer {
  public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::string name() const override { return "ReLU"; }
 
-  // Stage-fusion epilogue (see Elu).
+  // Stage epilogue (see Elu).
   FusionInfo fusion_info() const override {
     return {/*anchor=*/false, /*epilogue=*/true};
   }
@@ -78,8 +62,8 @@ class Relu : public Layer {
 
  private:
   Workspace ws_;  // slot 0: cached output(s)
-  size_t fused_n_ = 0;
-  float* fused_cache_ = nullptr;
+  size_t n_ = 0;
+  float* cache_ = nullptr;
 };
 
 }  // namespace nn

@@ -9,18 +9,9 @@ namespace dpbr {
 namespace nn {
 namespace {
 
-// Workspace slots (per layer instance). All hold single-example buffers:
-// the fused batch forward and backward stream their per-example
-// im2col/col2im panels through the batched kernels' per-thread scratch
-// instead, so nothing here scales with the batch size (kColSlot/
-// kDcolSlot serve only the per-example path).
-constexpr size_t kColSlot = 0;    // im2col matrix, K × OH·OW
-constexpr size_t kInputSlot = 1;  // cached forward input(s)
-constexpr size_t kDcolSlot = 2;   // column-space gradient, K × OH·OW
+constexpr size_t kInputSlot = 0;  // cached forward inputs, batch-sized
 
-// db[oc] += Σ_i gy[oc·q + i], accumulated in double. Shared by the
-// per-example backward and the fused batched epilogue so the bitwise
-// contract between the two paths is pinned in one place.
+// db[oc] += Σ_i gy[oc·q + i], accumulated in double.
 void AccumulateBiasRowSums(const float* gy, size_t out_ch, size_t q,
                            float* bgrad) {
   for (size_t oc = 0; oc < out_ch; ++oc) {
@@ -41,48 +32,22 @@ Conv2d::Conv2d(size_t in_channels, size_t out_channels, size_t kernel_size,
       pad_(padding),
       kernel_(kernel),
       weight_(out_channels * in_channels * kernel_size * kernel_size, 0.0f),
-      bias_(out_channels, 0.0f),
-      weight_grad_(weight_.size(), 0.0f),
-      bias_grad_(out_channels, 0.0f) {
+      bias_(out_channels, 0.0f) {
   DPBR_CHECK_GT(in_ch_, 0u);
   DPBR_CHECK_GT(out_ch_, 0u);
   DPBR_CHECK_GT(k_, 0u);
 }
 
-void Conv2d::ForwardOne(const float* x, size_t h, size_t w, float* y) {
-  if (kernel_ == Conv2dKernel::kNaive) {
-    NaiveForwardOne(x, h, w, y);
-    return;
-  }
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  size_t kk = in_ch_ * k_ * k_;
-  float* col = ws_.Get(kColSlot, kk * oh * ow);
-  Im2Col(x, in_ch_, h, w, k_, pad_, col);
-  GemmNN(out_ch_, kk, oh * ow, weight_.data(), col, y, bias_.data());
-}
-
-void Conv2d::BackwardOne(const float* x, const float* gy, size_t h, size_t w,
-                         float* wgrad, float* bgrad, float* dx) {
-  if (kernel_ == Conv2dKernel::kNaive) {
-    NaiveBackwardOne(x, gy, h, w, wgrad, bgrad, dx);
-    return;
-  }
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  size_t q = oh * ow;
-  size_t kk = in_ch_ * k_ * k_;
-  // dW += dY · Colᵀ  (the column matrix is recomputed rather than cached
-  // across the pass: one K×Q buffer per layer instead of one per example).
-  float* col = ws_.Get(kColSlot, kk * q);
-  Im2Col(x, in_ch_, h, w, k_, pad_, col);
-  GemmNT(out_ch_, q, kk, gy, col, wgrad, /*accumulate=*/true);
-  // db += row sums of dY.
-  AccumulateBiasRowSums(gy, out_ch_, q, bgrad);
-  // dX = col2im(Wᵀ · dY).
-  float* dcol = ws_.Get(kDcolSlot, kk * q);
-  GemmTN(kk, out_ch_, q, weight_.data(), gy, dcol);
-  Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_, dx);
+void Conv2d::SetGeometry(size_t h, size_t w) {
+  DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
+  DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
+  h_ = h;
+  w_ = w;
+  oh_ = h + 2 * pad_ - k_ + 1;
+  ow_ = w + 2 * pad_ - k_ + 1;
+  q_ = oh_ * ow_;
+  kk_ = in_ch_ * k_ * k_;
+  in_stride_ = in_ch_ * h * w;
 }
 
 void Conv2d::NaiveForwardOne(const float* x, size_t h, size_t w, float* y) {
@@ -146,240 +111,72 @@ void Conv2d::NaiveBackwardOne(const float* x, const float* gy, size_t h,
   }
 }
 
-Tensor Conv2d::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.ndim(), 3u);
-  DPBR_CHECK_EQ(x.dim(0), in_ch_);
-  size_t h = x.dim(1), w = x.dim(2);
-  DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
-  DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
-  // Cache the input in workspace storage (no per-call allocation).
-  float* cached = ws_.Get(kInputSlot, x.size());
-  std::memcpy(cached, x.data(), x.size() * sizeof(float));
-  state_.SetPerExample(x.shape());
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  Tensor y({out_ch_, oh, ow});
-  ForwardOne(cached, h, w, y.data());
-  return y;
-}
-
-Tensor Conv2d::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  size_t h = in[1], w = in[2];
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  RequireGradShape(grad_out, {out_ch_, oh, ow});
-  const float* x = ws_.Get(kInputSlot, in_ch_ * h * w);
-  Tensor dx({in_ch_, h, w});
-  BackwardOne(x, grad_out.data(), h, w, weight_grad_.data(),
-              bias_grad_.data(), dx.data());
-  return dx;
-}
-
-Tensor Conv2d::ForwardBatch(const Tensor& x) {
-  size_t batch = RequireBatchedInput(x, 4);
-  DPBR_CHECK_EQ(x.dim(1), in_ch_);
-  size_t h = x.dim(2), w = x.dim(3);
-  DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
-  DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
-  float* cached = ws_.Get(kInputSlot, x.size());
-  std::memcpy(cached, x.data(), x.size() * sizeof(float));
-  state_.SetBatched(x.shape());
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  Tensor y({batch, out_ch_, oh, ow});
-  size_t in_stride = in_ch_ * h * w;
-  size_t out_stride = out_ch_ * oh * ow;
-  if (kernel_ == Conv2dKernel::kNaive) {
-    for (size_t ex = 0; ex < batch; ++ex) {
-      ForwardOne(cached + ex * in_stride, h, w, y.data() + ex * out_stride);
-    }
-    return y;
-  }
-  // Fused path: the whole microbatch is one batched-GEMM dispatch that
-  // writes straight into the (N, OC, Q) output. Each example's im2col
-  // panel is expanded into the dispatch's per-thread scratch right
-  // before its tiles are computed, so it is consumed while cache-hot.
-  // Each output element accumulates products in the same ascending-p
-  // order as the per-example GEMM, so this is bitwise identical to
-  // looping ForwardOne — and, like every kernel here, pool-size
-  // invariant.
-  size_t q = oh * ow;
-  size_t kk = in_ch_ * k_ * k_;
-  GemmBatchedNN(out_ch_, kk, q, batch, weight_.data(), y.data(),
-                bias_.data(), [&](size_t ex, float* col) {
-                  Im2Col(cached + ex * in_stride, in_ch_, h, w, k_, pad_,
-                         col);
-                });
-  return y;
-}
-
-Tensor Conv2d::BackwardBatch(const Tensor& grad_out,
-                             const PerExampleGradSink& sink) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], h = in[2], w = in[3];
-  size_t oh = h + 2 * pad_ - k_ + 1;
-  size_t ow = w + 2 * pad_ - k_ + 1;
-  RequireGradShape(grad_out, {batch, out_ch_, oh, ow});
-  const float* x = ws_.Get(kInputSlot, batch * in_ch_ * h * w);
-  Tensor dx({batch, in_ch_, h, w});
-  size_t in_stride = in_ch_ * h * w;
-  size_t out_stride = out_ch_ * oh * ow;
-  if (kernel_ == Conv2dKernel::kNaive) {
-    for (size_t ex = 0; ex < batch; ++ex) {
-      float* wgrad = sink.Slot(ex);
-      float* bgrad = wgrad + weight_.size();
-      BackwardOne(x + ex * in_stride, grad_out.data() + ex * out_stride, h,
-                  w, wgrad, bgrad, dx.data() + ex * in_stride);
-    }
-    return dx;
-  }
-  // Fused path: the whole backward — per-example dW/db rows into the
-  // sink, dX through col2im — is one batched dispatch split over
-  // examples. Each example's task re-expands its im2col panel into
-  // per-thread scratch (one K×Q buffer per thread, not per example) and
-  // runs the two panel products dW = dY·Colᵀ and dCol = Wᵀ·dY in the
-  // per-example kernels' exact accumulation order, so every value is
-  // bitwise equal to looping BackwardOne — and per-example dW/db rows
-  // land in the sink untouched by any cross-example reduction, exactly
-  // as DP clipping requires. Examples write disjoint sink rows and dx
-  // slices, so the split is race-free; the embedded batch-1
-  // GemmBatchedTN and its Col2ImAccumulate run inline inside the task
-  // (nested dispatches never fan out), keeping the dispatch count at
-  // one per microbatch.
-  size_t q = oh * ow;
-  size_t kk = in_ch_ * k_ * k_;
-  const float* gy = grad_out.data();
-  float* dxd = dx.data();
-  GemmBatchedNT(
-      out_ch_, q, kk, batch, gy, out_stride,
-      [&](size_t ex, float* col) {
-        Im2Col(x + ex * in_stride, in_ch_, h, w, k_, pad_, col);
-      },
-      [&](size_t ex) { return sink.Slot(ex); },
-      /*accumulate=*/true,
-      [&](size_t ex, const float* /*col*/) {
-        const float* gy_ex = gy + ex * out_stride;
-        // db row, via the same shared row-sum kernel as BackwardOne.
-        AccumulateBiasRowSums(gy_ex, out_ch_, q,
-                              sink.Slot(ex) + weight_.size());
-        // dX slice: column-space gradient panel scattered by col2im.
-        GemmBatchedTN(kk, out_ch_, q, 1, weight_.data(), gy_ex, 0,
-                      [&](size_t, const float* dcol) {
-                        Col2ImAccumulate(dcol, in_ch_, h, w, k_, pad_,
-                                         dxd + ex * in_stride);
-                      });
-      });
-  return dx;
-}
-
 std::vector<size_t> Conv2d::FuseForwardPrepare(
     size_t batch, const std::vector<size_t>& in_shape) {
-  DPBR_CHECK(kernel_ == Conv2dKernel::kGemm);
   DPBR_CHECK_EQ(in_shape.size(), 3u);
   DPBR_CHECK_EQ(in_shape[0], in_ch_);
-  size_t h = in_shape[1], w = in_shape[2];
-  DPBR_CHECK_GE(h + 2 * pad_ + 1, k_);
-  DPBR_CHECK_GE(w + 2 * pad_ + 1, k_);
-  fused_h_ = h;
-  fused_w_ = w;
-  fused_oh_ = h + 2 * pad_ - k_ + 1;
-  fused_ow_ = w + 2 * pad_ - k_ + 1;
-  fused_q_ = fused_oh_ * fused_ow_;
-  fused_kk_ = in_ch_ * k_ * k_;
-  fused_in_stride_ = in_ch_ * h * w;
-  fused_out_stride_ = out_ch_ * fused_q_;
+  SetGeometry(in_shape[1], in_shape[2]);
   // Grown here, serially — the in-dispatch hooks only read the pointer.
-  fused_in_cache_ = ws_.Get(kInputSlot, batch * fused_in_stride_);
-  state_.SetBatchedFused({batch, in_ch_, h, w});
-  return {out_ch_, fused_oh_, fused_ow_};
+  in_cache_ = ws_.Get(kInputSlot, batch * in_stride_);
+  state_.SetBatched({batch, in_ch_, h_, w_});
+  return {out_ch_, oh_, ow_};
 }
 
 void Conv2d::FuseForwardAnchor(size_t ex, const float* x, float* y,
                                EpilogueChain chain) {
   // Cache this example's input slice (upstream groups hand panels whose
-  // contents die with the task; the backward re-expands im2col from
-  // here, exactly like the unfused batched path).
-  float* cached = fused_in_cache_ + ex * fused_in_stride_;
-  std::memcpy(cached, x, fused_in_stride_ * sizeof(float));
-  // Batch-1 batched GEMM: runs inline inside the enclosing fused
-  // dispatch (dispatch-free) with the identical tile sweep the unfused
-  // whole-batch GemmBatchedNN performs for this example — bitwise equal.
-  GemmBatchedNN(out_ch_, fused_kk_, fused_q_, 1, weight_.data(), y,
-                bias_.data(), [&](size_t, float* col) {
-                  Im2Col(cached, in_ch_, fused_h_, fused_w_, k_, pad_, col);
-                });
-  // The group's post-ops, on the output block while its tiles are hot —
-  // same statements, same order as the in-kernel chain of the
-  // whole-batch path.
+  // contents die with the task); the backward re-expands im2col from it.
+  float* cached = in_cache_ + ex * in_stride_;
+  std::memcpy(cached, x, in_stride_ * sizeof(float));
+  if (kernel_ == Conv2dKernel::kNaive) {
+    NaiveForwardOne(cached, h_, w_, y);
+  } else {
+    // Batch-1 batched GEMM: runs inline inside the stage's dispatch, the
+    // im2col panel expanded into per-thread scratch and consumed hot.
+    GemmBatchedNN(out_ch_, kk_, q_, 1, weight_.data(), y, bias_.data(),
+                  [&](size_t, float* col) {
+                    Im2Col(cached, in_ch_, h_, w_, k_, pad_, col);
+                  });
+  }
+  // The group's post-ops, on the output block while its tiles are hot.
   chain.Apply(ex, y);
-}
-
-bool Conv2d::FuseForwardWholeBatch(size_t batch, const float* x, float* y,
-                                   EpilogueChain chain) {
-  if (kernel_ != Conv2dKernel::kGemm) return false;
-  std::memcpy(fused_in_cache_, x,
-              batch * fused_in_stride_ * sizeof(float));
-  const float* cached = fused_in_cache_;
-  size_t in_stride = fused_in_stride_;
-  size_t h = fused_h_, w = fused_w_;
-  // One dispatch for the whole group: conv tiles, then the epilogue
-  // chain (activation, normalization) applied to each example's output
-  // block inside its own task.
-  GemmBatchedNN(out_ch_, fused_kk_, fused_q_, batch, weight_.data(), y,
-                bias_.data(),
-                [&](size_t ex, float* col) {
-                  Im2Col(cached + ex * in_stride, in_ch_, h, w, k_, pad_,
-                         col);
-                },
-                chain);
-  return true;
 }
 
 void Conv2d::FuseBackwardPrepare() {
   const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], h = in[2], w = in[3];
-  fused_h_ = h;
-  fused_w_ = w;
-  fused_oh_ = h + 2 * pad_ - k_ + 1;
-  fused_ow_ = w + 2 * pad_ - k_ + 1;
-  fused_q_ = fused_oh_ * fused_ow_;
-  fused_kk_ = in_ch_ * k_ * k_;
-  fused_in_stride_ = in_ch_ * h * w;
-  fused_out_stride_ = out_ch_ * fused_q_;
-  // No growth when a batched forward (fused or not) ran at this shape;
-  // re-deriving from state_ keeps the backward valid after either.
-  fused_in_cache_ = ws_.Get(kInputSlot, batch * fused_in_stride_);
+  SetGeometry(in[2], in[3]);
+  // No growth: the forward prepare sized the cache at this shape.
+  in_cache_ = ws_.Get(kInputSlot, in[0] * in_stride_);
 }
 
 void Conv2d::FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
                                 const PerExampleGradSink& sink) {
-  // The unfused fused-batched backward's per-example task body, verbatim
-  // (same kernels, same order), against batch-1 views: dW row, bias row
-  // sums, then the col2im'd dX panel product.
-  const float* x_ex = fused_in_cache_ + ex * fused_in_stride_;
+  const float* x_ex = in_cache_ + ex * in_stride_;
   float* wgrad = sink.Slot(ex);
-  GemmBatchedNT(out_ch_, fused_q_, fused_kk_, 1, gy, 0,
+  // Both kernels accumulate dX onto `gx`, so it starts from zero.
+  std::memset(gx, 0, in_stride_ * sizeof(float));
+  if (kernel_ == Conv2dKernel::kNaive) {
+    NaiveBackwardOne(x_ex, gy, h_, w_, wgrad, wgrad + weight_.size(), gx);
+    return;
+  }
+  // dW row, bias row sums, then the col2im'd dX panel product.
+  GemmBatchedNT(out_ch_, q_, kk_, 1, gy, 0,
                 [&](size_t, float* col) {
-                  Im2Col(x_ex, in_ch_, fused_h_, fused_w_, k_, pad_, col);
+                  Im2Col(x_ex, in_ch_, h_, w_, k_, pad_, col);
                 },
                 [&](size_t) { return wgrad; },
                 /*accumulate=*/true);
-  AccumulateBiasRowSums(gy, out_ch_, fused_q_, wgrad + weight_.size());
-  // Col2Im accumulates onto its target, so the panel (or dx slice) must
-  // start from zero like the unfused path's zero-initialized dx tensor.
-  std::memset(gx, 0, fused_in_stride_ * sizeof(float));
-  GemmBatchedTN(fused_kk_, out_ch_, fused_q_, 1, weight_.data(), gy, 0,
+  AccumulateBiasRowSums(gy, out_ch_, q_, wgrad + weight_.size());
+  GemmBatchedTN(kk_, out_ch_, q_, 1, weight_.data(), gy, 0,
                 [&](size_t, const float* dcol) {
-                  Col2ImAccumulate(dcol, in_ch_, fused_h_, fused_w_, k_,
-                                   pad_, gx);
+                  Col2ImAccumulate(dcol, in_ch_, h_, w_, k_, pad_, gx);
                 });
 }
 
 std::vector<ParamView> Conv2d::Params() {
   return {
-      {weight_.data(), weight_grad_.data(), weight_.size()},
-      {bias_.data(), bias_grad_.data(), bias_.size()},
+      {weight_.data(), weight_.size()},
+      {bias_.data(), bias_.size()},
   };
 }
 

@@ -1,17 +1,14 @@
-// 2-d convolution on (C, H, W) examples and (N, C, H, W) microbatches.
+// 2-d convolution on (C, H, W) examples, a stage anchor (nn/layer.h).
 //
-// The production kernel lowers the convolution to im2col + blocked GEMM
-// (src/nn/gemm.h) with all scratch held in a per-layer Workspace, so hot
-// training loops neither allocate nor re-derive loop bounds. ForwardBatch
-// fuses the whole microbatch into one batched-GEMM dispatch
-// (GemmBatchedNN) and BackwardBatch into one batched backward dispatch
-// (GemmBatchedNT + an embedded per-example GemmBatchedTN/col2im), both
-// bitwise identical to the per-example loop (same per-element
-// accumulation order) with each example's dW/db row written to its own
-// PerExampleGradSink slot — so DP per-example gradient clipping is
-// preserved at batched speed. The original direct loop nest is kept as a
-// reference kernel (`Conv2dKernel::kNaive`) that
-// tests/nn/kernel_equivalence_test.cc checks the GEMM path against.
+// The production kernel lowers each example's convolution to im2col +
+// blocked GEMM (src/nn/gemm.h): the forward anchor is a batch-1
+// GemmBatchedNN, the backward anchor a batch-1 GemmBatchedNT (dW into
+// the example's PerExampleGradSink row) plus a batch-1 GemmBatchedTN
+// scattered by col2im (dX). Both run inline inside the stage's
+// per-example task, with the im2col panels in per-thread scratch. The
+// original direct loop nest is kept as an independent reference kernel
+// (`Conv2dKernel::kNaive`) behind the same hooks, which
+// tests/nn/kernel_equivalence_test.cc checks the GEMM kernel against.
 
 #ifndef DPBR_NN_CONV2D_H_
 #define DPBR_NN_CONV2D_H_
@@ -37,27 +34,18 @@ class Conv2d : public Layer {
   Conv2d(size_t in_channels, size_t out_channels, size_t kernel_size,
          size_t padding = 0, Conv2dKernel kernel = Conv2dKernel::kGemm);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::vector<ParamView> Params() override;
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Conv2d"; }
 
-  // Stage-fusion anchor (GEMM path only; the naive reference kernel
-  // stays unfused). Per-example hooks run the exact kernel sequence of
-  // the unfused batched paths, so fused == unfused bitwise.
+  // Stage anchor, for both kernels.
   FusionInfo fusion_info() const override {
-    return {/*anchor=*/kernel_ == Conv2dKernel::kGemm, /*epilogue=*/false};
+    return {/*anchor=*/true, /*epilogue=*/false};
   }
   std::vector<size_t> FuseForwardPrepare(
       size_t batch, const std::vector<size_t>& in_shape) override;
   void FuseForwardAnchor(size_t ex, const float* x, float* y,
                          EpilogueChain chain) override;
-  bool FuseForwardWholeBatch(size_t batch, const float* x, float* y,
-                             EpilogueChain chain) override;
   void FuseBackwardPrepare() override;
   void FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
                           const PerExampleGradSink& sink) override;
@@ -68,17 +56,11 @@ class Conv2d : public Layer {
   float& W(size_t oc, size_t ic, size_t kh, size_t kw) {
     return weight_[((oc * in_ch_ + ic) * k_ + kh) * k_ + kw];
   }
-  float& Wg(size_t oc, size_t ic, size_t kh, size_t kw) {
-    return weight_grad_[((oc * in_ch_ + ic) * k_ + kh) * k_ + kw];
-  }
+  /// Sets the per-example geometry for an (in_ch, h, w) input.
+  void SetGeometry(size_t h, size_t w);
 
-  /// Forward/backward for one example whose input plane is `x` and whose
-  /// outputs/gradients live at the given raw pointers. Shared by the
-  /// per-example and microbatch paths (kernel mode respected).
-  void ForwardOne(const float* x, size_t h, size_t w, float* y);
-  void BackwardOne(const float* x, const float* gy, size_t h, size_t w,
-                   float* wgrad, float* bgrad, float* dx);
-
+  /// The reference kernel for one example; the backward accumulates
+  /// into `wgrad`/`bgrad`/`dx`.
   void NaiveForwardOne(const float* x, size_t h, size_t w, float* y);
   void NaiveBackwardOne(const float* x, const float* gy, size_t h, size_t w,
                         float* wgrad, float* bgrad, float* dx);
@@ -90,17 +72,15 @@ class Conv2d : public Layer {
   Conv2dKernel kernel_;
   std::vector<float> weight_;  // (out, in, k, k)
   std::vector<float> bias_;    // (out)
-  std::vector<float> weight_grad_;
-  std::vector<float> bias_grad_;
-  // im2col / dcol scratch plus the cached forward input(s).
+  // The cached forward inputs of the whole microbatch.
   Workspace ws_;
-  // Fused-stage geometry and cache pointer, stashed by the serial
-  // prepare hooks so the in-dispatch hooks never touch the Workspace
-  // (which must not grow concurrently).
-  float* fused_in_cache_ = nullptr;
-  size_t fused_h_ = 0, fused_w_ = 0, fused_oh_ = 0, fused_ow_ = 0;
-  size_t fused_q_ = 0, fused_kk_ = 0;
-  size_t fused_in_stride_ = 0, fused_out_stride_ = 0;
+  // Geometry and cache pointer, stashed by the serial prepare hooks so
+  // the in-dispatch hooks never touch the Workspace (which must not
+  // grow concurrently).
+  float* in_cache_ = nullptr;
+  size_t h_ = 0, w_ = 0, oh_ = 0, ow_ = 0;
+  size_t q_ = 0, kk_ = 0;
+  size_t in_stride_ = 0;
 };
 
 }  // namespace nn

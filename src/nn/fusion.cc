@@ -40,12 +40,6 @@ FusedStage::FusedStage(std::vector<Group> groups)
   for (const EpilogueCall& c : calls_) fwd_ops_.push_back(EpilogueOp(c));
 }
 
-size_t FusedStage::num_layers() const {
-  size_t n = 0;
-  for (const Group& g : groups_) n += 1 + g.epilogues.size();
-  return n;
-}
-
 Tensor FusedStage::ForwardBatch(const Tensor& x) {
   DPBR_CHECK_GE(x.ndim(), 2u);
   batch_ = x.dim(0);
@@ -54,14 +48,19 @@ Tensor FusedStage::ForwardBatch(const Tensor& x) {
   in_stride_ = Product(in_shape_, 1);
 
   // Serial prepare sweep: every layer asserts its input shape, grows its
-  // caches for `batch_` examples and records the fused batched state —
-  // the only phase in which any Workspace may grow.
+  // caches for `batch_` examples and records its batched state — the
+  // only phase in which any Workspace may grow. Epilogues work in place,
+  // so they must keep the per-example element count.
   std::vector<size_t> shape(in_shape_.begin() + 1, in_shape_.end());
   group_out_size_.clear();
   for (const Group& g : groups_) {
-    shape = g.anchor.layer->FuseForwardPrepare(batch_, shape);
+    if (g.anchor.layer != nullptr) {
+      shape = g.anchor.layer->FuseForwardPrepare(batch_, shape);
+    }
     for (const Item& ep : g.epilogues) {
+      size_t n = Product(shape);
       shape = ep.layer->FuseForwardPrepare(batch_, shape);
+      DPBR_CHECK_EQ(Product(shape), n);
     }
     group_out_size_.push_back(Product(shape));
   }
@@ -73,24 +72,14 @@ Tensor FusedStage::ForwardBatch(const Tensor& x) {
   Tensor y(out_shape_);
   const float* xd = x.data();
   float* yd = y.data();
-
-  // Single-group stages hand the whole microbatch to the anchor's
-  // batched kernel with the chain applied in-kernel (one dispatch, the
-  // epilogues run on each example's output block right after its tiles).
-  if (groups_.size() == 1 &&
-      groups_[0].anchor.layer->FuseForwardWholeBatch(batch_, xd, yd,
-                                                     chain(0))) {
-    return y;
-  }
-
-  // Multi-group (or no whole-batch kernel): ONE dispatch over examples;
-  // each example walks its groups serially, intermediates ping-pong
-  // between two per-thread panels and never leave the thread.
   size_t max_inter = 0;
   for (size_t g = 0; g + 1 < group_out_size_.size(); ++g) {
     if (group_out_size_[g] > max_inter) max_inter = group_out_size_[g];
   }
   size_t ngroups = groups_.size();
+  // ONE dispatch over examples; each example walks its groups serially,
+  // intermediates ping-pong between two per-thread panels and never
+  // leave the thread.
   ParallelForBlocked(batch_, 1, [&](size_t e0, size_t e1) {
     float* pa =
         max_inter ? ThreadPanel(kPanelSlotFusedFwdA, max_inter) : nullptr;
@@ -101,7 +90,13 @@ Tensor FusedStage::ForwardBatch(const Tensor& x) {
       for (size_t g = 0; g < ngroups; ++g) {
         float* out = (g + 1 == ngroups) ? yd + ex * out_stride_
                                         : ((g % 2 != 0) ? pb : pa);
-        groups_[g].anchor.layer->FuseForwardAnchor(ex, cur, out, chain(g));
+        Layer* anchor = groups_[g].anchor.layer;
+        if (anchor != nullptr) {
+          anchor->FuseForwardAnchor(ex, cur, out, chain(g));
+        } else {
+          std::memcpy(out, cur, group_out_size_[g] * sizeof(float));
+          chain(g).Apply(ex, out);
+        }
         cur = out;
       }
     }
@@ -113,8 +108,9 @@ Tensor FusedStage::BackwardBatch(const Tensor& grad_out,
                                  const PerExampleGradSink& sink) {
   if (!prepared_) {
     DPBR_LOG_STREAM(Fatal)
-        << "cached-state contract violated — fused backward with no fused "
-           "forward prepared (fusion toggled between passes?)";
+        << "cached-state contract violated — stage backward, but no "
+           "forward has run on this stage (or fusion was toggled between "
+           "the passes)";
   }
   DPBR_CHECK(grad_out.shape() == out_shape_);
 
@@ -125,7 +121,7 @@ Tensor FusedStage::BackwardBatch(const Tensor& grad_out,
     for (size_t e = grp.epilogues.size(); e-- > 0;) {
       grp.epilogues[e].layer->FuseBackwardPrepare();
     }
-    grp.anchor.layer->FuseBackwardPrepare();
+    if (grp.anchor.layer != nullptr) grp.anchor.layer->FuseBackwardPrepare();
   }
 
   Tensor dx(in_shape_);
@@ -139,8 +135,7 @@ Tensor FusedStage::BackwardBatch(const Tensor& grad_out,
   // ONE dispatch over examples. Per example, groups run in reverse: the
   // group's epilogues transform the gradient in place on a panel copy
   // (streaming their per-example parameter gradients into their own sink
-  // columns), then the anchor consumes it — the unfused batched paths'
-  // exact per-example kernel sequence, so the result is bitwise equal.
+  // columns), then the anchor, if any, consumes it.
   ParallelForBlocked(batch_, 1, [&](size_t e0, size_t e1) {
     float* pa = ThreadPanel(kPanelSlotFusedBwdA, max_panel);
     float* pb = ThreadPanel(kPanelSlotFusedBwdB, max_panel);
@@ -149,22 +144,26 @@ Tensor FusedStage::BackwardBatch(const Tensor& grad_out,
       const float* cur_buf = nullptr;  // which panel curg lives in, if any
       for (size_t g = ngroups; g-- > 0;) {
         const Group& grp = groups_[g];
+        // The epilogues' working copy; without an anchor it is also the
+        // group's input gradient.
+        float* work = (grp.anchor.layer == nullptr && g == 0)
+                          ? dxd + ex * in_stride_
+                          : ((cur_buf == pa) ? pb : pa);
         const float* src = curg;
-        const float* src_buf = cur_buf;
-        if (!grp.epilogues.empty()) {
-          float* tgt = (cur_buf == pa) ? pb : pa;
-          std::memcpy(tgt, curg, group_out_size_[g] * sizeof(float));
+        if (!grp.epilogues.empty() || grp.anchor.layer == nullptr) {
+          std::memcpy(work, curg, group_out_size_[g] * sizeof(float));
           for (size_t e = grp.epilogues.size(); e-- > 0;) {
             const Item& ep = grp.epilogues[e];
-            ep.layer->FuseBackwardEpilogue(ex, tgt, sink.Shifted(ep.offset));
+            ep.layer->FuseBackwardEpilogue(ex, work, sink.Shifted(ep.offset));
           }
-          src = tgt;
-          src_buf = tgt;
+          src = work;
         }
-        float* gx = (g == 0) ? dxd + ex * in_stride_
-                             : ((src_buf == pa) ? pb : pa);
-        grp.anchor.layer->FuseBackwardAnchor(ex, src, gx,
-                                             sink.Shifted(grp.anchor.offset));
+        float* gx = work;
+        if (grp.anchor.layer != nullptr) {
+          gx = (g == 0) ? dxd + ex * in_stride_ : ((src == pa) ? pb : pa);
+          grp.anchor.layer->FuseBackwardAnchor(
+              ex, src, gx, sink.Shifted(grp.anchor.offset));
+        }
         curg = gx;
         cur_buf = (g == 0) ? nullptr : gx;
       }
@@ -193,71 +192,84 @@ void FlattenInto(Sequential* seq, size_t base_offset,
 
 }  // namespace
 
-std::unique_ptr<FusionPlan> FusionPlan::Build(Sequential* root) {
+std::unique_ptr<FusionPlan> FusionPlan::Build(Sequential* root, bool fuse,
+                                              size_t base_offset) {
   DPBR_CHECK(root != nullptr);
   std::vector<FusedStage::Item> items;
-  FlattenInto(root, 0, &items);
+  FlattenInto(root, base_offset, &items);
+  DPBR_CHECK(!items.empty());
 
   auto plan = std::unique_ptr<FusionPlan>(new FusionPlan());
-  size_t i = 0;
-  while (i < items.size()) {
-    if (!items[i].layer->fusion_info().anchor) {
-      // Barrier (or orphan epilogue with nothing to attach to): plain
-      // unfused step.
+  std::vector<FusedStage::Group> groups;  // the stage being collected
+  auto close_stage = [&] {
+    if (groups.empty()) return;
+    Step s;
+    s.stage = std::make_unique<FusedStage>(std::move(groups));
+    plan->steps_.push_back(std::move(s));
+    groups.clear();
+  };
+  for (const FusedStage::Item& item : items) {
+    if (Residual* r = item.layer->AsResidual()) {
+      close_stage();
       Step s;
-      s.layer = items[i].layer;
-      s.offset = items[i].offset;
+      s.residual_body = Build(r->body(), fuse, item.offset);
       plan->steps_.push_back(std::move(s));
-      ++i;
       continue;
     }
-    // Greedy: each anchor starts a group and absorbs the following
-    // epilogue-capable layers; consecutive groups merge into one stage.
-    std::vector<FusedStage::Group> groups;
-    size_t j = i;
-    while (j < items.size() && items[j].layer->fusion_info().anchor) {
+    FusionInfo role = item.layer->fusion_info();
+    if (!role.anchor && !role.epilogue) {
+      DPBR_LOG_STREAM(Fatal) << item.layer->name()
+                             << " has no stage role (anchor or epilogue)";
+    }
+    if (!fuse) close_stage();
+    if (role.anchor || groups.empty() || !fuse) {
       FusedStage::Group g;
-      g.anchor = items[j];
-      ++j;
-      while (j < items.size() && !items[j].layer->fusion_info().anchor &&
-             items[j].layer->fusion_info().epilogue) {
-        g.epilogues.push_back(items[j]);
-        ++j;
+      if (role.anchor) {
+        g.anchor = item;
+      } else {
+        g.epilogues.push_back(item);
       }
       groups.push_back(std::move(g));
-    }
-    if (j - i >= 2) {
-      Step s;
-      s.stage = std::make_unique<FusedStage>(std::move(groups));
-      plan->steps_.push_back(std::move(s));
-      ++plan->num_fused_stages_;
     } else {
-      // A bare single anchor gains nothing over its own batched path.
-      Step s;
-      s.layer = items[i].layer;
-      s.offset = items[i].offset;
-      plan->steps_.push_back(std::move(s));
+      groups.back().epilogues.push_back(item);
     }
-    i = j;
   }
+  close_stage();
   return plan;
 }
 
 Tensor FusionPlan::ForwardBatch(const Tensor& x) {
-  Tensor h = x;
+  const Tensor* in = &x;
+  Tensor h;
   for (Step& s : steps_) {
-    h = s.stage ? s.stage->ForwardBatch(h) : s.layer->ForwardBatch(h);
+    if (s.stage) {
+      h = s.stage->ForwardBatch(*in);
+    } else {
+      Tensor y = s.residual_body->ForwardBatch(*in);
+      DPBR_CHECK(y.SameShape(*in));
+      for (size_t i = 0; i < y.size(); ++i) y[i] += (*in)[i];
+      h = std::move(y);
+    }
+    in = &h;
   }
   return h;
 }
 
 Tensor FusionPlan::BackwardBatch(const Tensor& grad_out,
                                  const PerExampleGradSink& sink) {
-  Tensor g = grad_out;
+  const Tensor* in = &grad_out;
+  Tensor g;
   for (size_t i = steps_.size(); i-- > 0;) {
     Step& s = steps_[i];
-    g = s.stage ? s.stage->BackwardBatch(g, sink)
-                : s.layer->BackwardBatch(g, sink.Shifted(s.offset));
+    if (s.stage) {
+      g = s.stage->BackwardBatch(*in, sink);
+    } else {
+      Tensor dx = s.residual_body->BackwardBatch(*in, sink);
+      DPBR_CHECK(dx.SameShape(*in));
+      for (size_t j = 0; j < dx.size(); ++j) dx[j] += (*in)[j];
+      g = std::move(dx);
+    }
+    in = &g;
   }
   return g;
 }

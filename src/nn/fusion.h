@@ -1,32 +1,38 @@
-// Cross-layer stage fusion: folds runs of fusable layers into single
-// dispatch FusedStage nodes so a whole CNN local step runs in a handful
-// of pool barriers per microbatch instead of one per layer.
+// Stage execution: the one driver of the layer hooks (nn/layer.h). It
+// runs every batched forward and backward, so a whole CNN local step
+// costs a handful of pool barriers per microbatch instead of one per
+// layer.
 //
-// A fused *group* is one anchor layer (Conv2d, Linear — the layer that
-// owns the group's GEMM) followed by zero or more epilogue layers (ELU,
-// ReLU, GroupNorm — per-example post-ops applied to the anchor's output
-// block while it is still cache-hot in the producing thread). A fused
-// *stage* is a maximal run of consecutive groups executed as ONE
-// ParallelFor dispatch: each example's task walks its groups in order,
-// streaming intermediate activations through per-thread ping-pong panels
-// (ThreadPanel slots kPanelSlotFusedFwd*/Bwd*) that never leave the
-// thread. Layers that advertise neither role (pooling, flatten,
-// residual, the naive conv kernel) are barriers and run as plain
-// unfused steps.
+// A *group* is an optional anchor layer (Conv2d, Linear,
+// AdaptiveAvgPool2d — the layer that maps the example's block to a new
+// block) followed by zero or more epilogue layers (ELU, ReLU, GroupNorm,
+// Flatten — in-place post-ops applied to the anchor's output block while
+// it is still cache-hot in the producing thread). A group without an
+// anchor starts from a copy of its input block. A *stage* is a run of
+// consecutive groups executed as ONE ParallelFor dispatch per direction:
+// each example's task walks its groups in order, streaming intermediate
+// activations through per-thread ping-pong panels (ThreadPanel slots
+// kPanelSlotFusedFwd*/Bwd*) that never leave the thread. A Residual is a
+// plan step of its own: its body's plan, then the serial skip-add
+// (stages do not cross the residual boundary).
 //
-// Determinism: the fused hooks run the unfused batched paths' exact
-// per-example kernel sequences, fill the same workspace caches and
-// record the same BatchState, so fused == unfused == per-example
-// bitwise on every input, under any pool size, across SIMD tiers — the
-// contract tests/nn/kernel_equivalence_test.cc pins. Fused and unfused
-// passes are interchangeable mid-model (a fused forward can feed an
-// unfused backward) because the caches are identical.
+// Grouping: with fusion on, each anchor opens a group that absorbs the
+// epilogues after it, a leading epilogue opens an anchor-less group, and
+// all groups between residual boundaries form one stage. With fusion
+// off, every layer is its own one-group stage. Both settings run the
+// same hooks on the same per-example data, so they are bitwise equal;
+// only the dispatch count differs.
+//
+// Determinism: examples are split across tasks by the shape only, and
+// each task runs its example's hooks in layer order on that example's
+// slices, so every result is bitwise independent of the pool size and
+// of the batch an example sits in.
 //
 // The plan is an execution overlay over Sequential: it never
 // restructures `layers_` (parameter offsets, InitParams streams and the
-// flat-vector bridge are untouched), it only changes how ForwardBatch /
-// BackwardBatch traverse them. Nested Sequential containers are
-// flattened into the parent plan so fusion crosses block boundaries.
+// flat-vector bridge are untouched), it only decides how the batched
+// passes traverse them. Nested Sequential containers are flattened into
+// the parent plan so stages cross block boundaries.
 
 #ifndef DPBR_NN_FUSION_H_
 #define DPBR_NN_FUSION_H_
@@ -39,7 +45,7 @@
 namespace dpbr {
 namespace nn {
 
-/// A maximal run of fused groups executed as one dispatch per direction.
+/// A run of groups executed as one dispatch per direction.
 class FusedStage {
  public:
   /// One planned layer: the layer plus its flat-parameter offset from
@@ -49,7 +55,8 @@ class FusedStage {
     size_t offset = 0;
   };
 
-  /// One anchor plus its trailing epilogue layers.
+  /// An optional anchor (layer == nullptr: none) plus its trailing
+  /// epilogue layers.
   struct Group {
     Item anchor;
     std::vector<Item> epilogues;
@@ -57,17 +64,13 @@ class FusedStage {
 
   explicit FusedStage(std::vector<Group> groups);
 
-  /// Whole-stage batched forward: serial per-layer prepare hooks (the
-  /// only place workspace may grow), then one dispatch over examples.
+  /// Whole-stage forward: serial per-layer prepare hooks (the only place
+  /// workspace may grow), then one dispatch over examples.
   Tensor ForwardBatch(const Tensor& x);
 
-  /// Whole-stage batched backward; requires this stage's ForwardBatch to
-  /// have prepared the geometry (a fused backward after an unfused
-  /// forward is a contract violation, exactly like a stale BatchState).
+  /// Whole-stage backward; requires this stage's ForwardBatch to have
+  /// prepared the geometry.
   Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink);
-
-  size_t num_groups() const { return groups_.size(); }
-  size_t num_layers() const;
 
  private:
   // Stable bound callable an EpilogueOp (FunctionRef) can point at for
@@ -103,21 +106,17 @@ class FusedStage {
   std::vector<size_t> out_shape_;
 };
 
-/// Execution plan for one Sequential: an ordered list of steps, each
-/// either a plain (unfused) layer or a FusedStage.
+/// Execution plan for one Sequential: an ordered list of steps, each a
+/// FusedStage or a residual block.
 class FusionPlan {
  public:
-  /// Builds the plan for `root`: flattens nested Sequential containers,
-  /// then greedily folds anchor[+epilogue...] runs into stages. A run
-  /// must cover at least two layers to become a stage (a bare anchor
-  /// alone gains nothing over its own batched path).
-  static std::unique_ptr<FusionPlan> Build(Sequential* root);
-
-  /// True when at least one step is a fused stage (otherwise the plan is
-  /// equivalent to the plain per-layer loop and callers skip it).
-  bool has_fused_stage() const { return num_fused_stages_ > 0; }
-  size_t num_fused_stages() const { return num_fused_stages_; }
-  size_t num_steps() const { return steps_.size(); }
+  /// Builds the plan for `root`, whose parameters start at flat offset
+  /// `base_offset` of the gradient sink rows: flattens nested Sequential
+  /// containers, plans each Residual body as its own sub-plan, and
+  /// groups the remaining layers as the header comment describes
+  /// (`fuse` selects fused or one-stage-per-layer grouping).
+  static std::unique_ptr<FusionPlan> Build(Sequential* root, bool fuse,
+                                           size_t base_offset = 0);
 
   Tensor ForwardBatch(const Tensor& x);
   Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink);
@@ -125,13 +124,11 @@ class FusionPlan {
  private:
   struct Step {
     // Exactly one of the two is set.
-    Layer* layer = nullptr;  // plain step
-    size_t offset = 0;       // plain step's flat-parameter offset
     std::unique_ptr<FusedStage> stage;
+    std::unique_ptr<FusionPlan> residual_body;  // y = x + body(x)
   };
 
   std::vector<Step> steps_;
-  size_t num_fused_stages_ = 0;
 };
 
 }  // namespace nn

@@ -164,15 +164,14 @@ void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
 
 void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, float* c, const float* row_init,
-                   FunctionRef<void(size_t ex, float* panel)> fill_panel,
-                   EpilogueChain epilogue) {
+                   FunctionRef<void(size_t ex, float* panel)> fill_panel) {
   if (m == 0 || n == 0 || batch == 0) return;
   ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
     // One panel per worker thread (tasks run inline or on distinct pool
     // workers): grow-only, reused across examples and dispatches, so the
-    // serial case keeps a single cache-hot panel exactly like the
-    // per-example path. Panel contents never outlive the example's
-    // tiles, so this sharing cannot change any output bit.
+    // serial case keeps a single cache-hot panel. Panel contents never
+    // outlive the example's tiles, so this sharing cannot change any
+    // output bit.
     float* panel = ThreadPanel(kPanelSlotNNFill, k * n);
     for (size_t ex = e0; ex < e1; ++ex) {
       fill_panel(ex, panel);
@@ -184,40 +183,23 @@ void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                      row_init);
         }
       }
-      // Post-op chain on the example's output block while its tiles are
-      // still cache-hot: the whole fused group stays inside this task.
-      epilogue.Apply(ex, cx);
     }
   });
 }
 
-void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c) {
-  if (m == 0 || n == 0) return;
-  ParallelForBlocked(m, kRowBlock, [&](size_t lo, size_t hi) {
-    GemmTNRows(lo, hi, m, k, n, a, b, c);
-  });
-}
-
-void GemmBatchedNT(
-    size_t m, size_t k, size_t n, size_t batch, const float* a,
-    size_t a_stride, FunctionRef<void(size_t ex, float* panel)> fill_b,
-    FunctionRef<float*(size_t ex)> c_of, bool accumulate,
-    FunctionRef<void(size_t ex, const float* panel)> epilogue) {
+void GemmBatchedNT(size_t m, size_t k, size_t n, size_t batch,
+                   const float* a, size_t a_stride,
+                   FunctionRef<void(size_t ex, float* panel)> fill_b,
+                   FunctionRef<float*(size_t ex)> c_of, bool accumulate) {
   if (m == 0 || n == 0 || batch == 0) return;
   ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
     // One B panel per worker thread, grow-only across examples and
-    // dispatches (see GemmBatchedNN). Distinct from the TN panel, so an
-    // epilogue that runs a batch-1 GemmBatchedTN (Conv2d's dX) cannot
-    // clobber the panel it was handed.
+    // dispatches (see GemmBatchedNN).
     float* panel = ThreadPanel(kPanelSlotNTFill, n * k);
     for (size_t ex = e0; ex < e1; ++ex) {
       fill_b(ex, panel);
-      // All m rows serially: identical per-element dot8_f32 values to
-      // the per-example GemmNT dispatch, which only splits these rows.
       GemmNTRows(0, m, k, n, a + ex * a_stride, panel, c_of(ex),
                  accumulate);
-      if (epilogue) epilogue(ex, panel);
     }
   });
 }
@@ -233,14 +215,6 @@ void GemmBatchedTN(
       GemmTNRows(0, m, m, k, n, a, b + ex * b_stride, panel);
       consume(ex, panel);
     }
-  });
-}
-
-void GemmNT(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c, bool accumulate) {
-  if (m == 0 || n == 0) return;
-  ParallelForBlocked(m, kRowBlock, [&](size_t lo, size_t hi) {
-    GemmNTRows(lo, hi, k, n, a, b, c, accumulate);
   });
 }
 

@@ -77,28 +77,6 @@ constexpr size_t kPanelSlotFusedBwdB = 6;
 /// which is what lets dispatch bodies use it freely.
 float* ThreadPanel(size_t slot, size_t n);
 
-// --- Epilogue chain -------------------------------------------------
-
-/// One post-op applied to a per-thread output panel while cache-hot:
-/// op(ex, block) transforms example `ex`'s m×n output block in place.
-/// Non-owning (FunctionRef) — callables live in the caller's frame or in
-/// a stable side array for the duration of the kernel call.
-using EpilogueOp = FunctionRef<void(size_t ex, float* block)>;
-
-/// Ordered list of post-ops a batched GEMM applies to each example's
-/// output block inside that example's task, immediately after its tiles
-/// are computed — bias, activation, normalization — so a whole fused
-/// layer group costs one dispatch. A default-constructed chain is empty
-/// (the plain GEMM).
-struct EpilogueChain {
-  const EpilogueOp* ops = nullptr;
-  size_t count = 0;
-
-  void Apply(size_t ex, float* block) const {
-    for (size_t i = 0; i < count; ++i) ops[i](ex, block);
-  }
-};
-
 /// C (m×n) = A (m×k) · B (k×n), all row-major. When `row_init` is
 /// non-null, row i of C starts from the scalar row_init[i] (broadcast
 /// across the row) instead of zero — Conv2d uses this to fold the bias
@@ -112,16 +90,17 @@ void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
 /// Serial single-row NN GEMM: c (1×n) = a (1×k) · B (k×n), with row 0 of
 /// c starting from the scalar row_init[0] when non-null. Runs the same
 /// tile kernel GemmNN dispatches, so the per-element ascending-p values
-/// are bitwise identical to GemmNN(1, k, n, ...) — the shared primitive
-/// for fused batched dispatches that compute one dX row per example
-/// inside their own task (Linear::BackwardBatch).
+/// are bitwise identical to GemmNN(1, k, n, ...) — the primitive for
+/// one Linear dX row computed inside a stage's per-example task.
 void GemmNNSerialRow(size_t k, size_t n, const float* a, const float* b,
                      float* c, const float* row_init = nullptr);
 
 /// Serial single-row NT GEMM: c (1×n) = a (1×k) · Bᵀ for row-major B
-/// (n×k). Per-element values are the same dot8_f32 folds as GemmNT's row
-/// — the fused forward primitive for one Linear output row computed
-/// inside another dispatch's task.
+/// (n×k). Each element is a dot product of two unit-stride rows,
+/// accumulated in eight fixed interleaved partial sums (lane l takes
+/// p ≡ l mod 8) combined in lane order — deterministic and SIMD-friendly
+/// without -ffast-math. The forward primitive for one Linear output row
+/// computed inside a stage's per-example task.
 void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
                      float* c);
 
@@ -136,23 +115,11 @@ void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
 /// k×n matrix B_ex into `panel`, a per-thread grow-only scratch buffer
 /// that is consumed immediately while cache-hot (its contents are
 /// transient, so sharing it per thread cannot affect results). This is
-/// the fused batch-conv forward kernel: fill_panel is Im2Col and C the
-/// (N, OC, OH·OW) output tensor written in place.
-///
-/// `epilogue` is applied to C_ex inside example ex's task right after
-/// its tiles — the block is still cache-hot, so a conv→activation→norm
-/// group runs start to finish without the intermediates ever leaving the
-/// thread (bias is already folded via row_init). Ops see the real
-/// example index.
+/// the conv forward kernel: fill_panel is Im2Col and C the example's
+/// (OC, OH·OW) output block written in place.
 void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, float* c, const float* row_init,
-                   FunctionRef<void(size_t ex, float* panel)> fill_panel,
-                   EpilogueChain epilogue = {});
-
-/// C (m×n) = Aᵀ · B for row-major A (k×m), B (k×n). Same fixed
-/// ascending-p accumulation order as GemmNN.
-void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c);
+                   FunctionRef<void(size_t ex, float* panel)> fill_panel);
 
 // --- Batched backward GEMM stack ------------------------------------
 //
@@ -160,17 +127,15 @@ void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
 // per-example panel GEMMs as ONE parallel dispatch, split across
 // examples by the shape only (pool-size invariant), with the per-example
 // product computed serially inside the task in the exact per-element
-// accumulation order of the per-example kernel — so the batched call is
-// bitwise equal to looping GemmNT / GemmTN example by example. Panels
-// live in grow-only per-thread scratch that never outlives its example.
+// accumulation order of the serial row kernels — so every example's
+// result is independent of the batch and the pool size. Panels live in
+// grow-only per-thread scratch that never outlives its example.
 //
 // Composition contract: at batch == 1 these drivers never touch the pool
 // (ParallelFor's single-iteration inline path), so they are dispatch-
-// free when called from another batched dispatch's hook. That is how
-// Conv2d::BackwardBatch runs its entire backward — dW/db rows into the
-// PerExampleGradSink, dX through col2im — as a single dispatch: one
-// GemmBatchedNT whose epilogue folds in the bias row-sums and a
-// batch-1 GemmBatchedTN per example.
+// free when called from inside a stage's per-example task. That is how
+// Conv2d's backward anchor runs dW into its PerExampleGradSink row and
+// dX through col2im without a dispatch of its own.
 
 /// Batched NT GEMM with streamed right panels: for each ex in [0,batch),
 ///   C_ex (m×n) (+)= A_ex (m×k) · B_ex (n×k)ᵀ
@@ -181,21 +146,17 @@ void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
 /// PerExampleGradSink row in the backward, so per-example dW rows land
 /// exactly where DP clipping reads them, with `accumulate` matching the
 /// sink's accumulate-onto-prezeroed-rows contract. Per-element values
-/// match GemmNT's fixed DotChained order bit for bit. The optional
-/// epilogue(ex, panel) runs inside the same task after the product, with
-/// the filled panel still valid — the fusion point for the rest of an
-/// example's backward (bias row sums, the dX panel product), which is
-/// what makes a whole layer backward a single dispatch.
-void GemmBatchedNT(
-    size_t m, size_t k, size_t n, size_t batch, const float* a,
-    size_t a_stride, FunctionRef<void(size_t ex, float* panel)> fill_b,
-    FunctionRef<float*(size_t ex)> c_of, bool accumulate = false,
-    FunctionRef<void(size_t ex, const float* panel)> epilogue = {});
+/// match GemmNTSerialRow's fixed dot8_f32 order bit for bit.
+void GemmBatchedNT(size_t m, size_t k, size_t n, size_t batch,
+                   const float* a, size_t a_stride,
+                   FunctionRef<void(size_t ex, float* panel)> fill_b,
+                   FunctionRef<float*(size_t ex)> c_of,
+                   bool accumulate = false);
 
 /// Batched TN GEMM with consumed output panels: for each ex in [0,batch),
 ///   P_ex (m×n) = Aᵀ · B_ex
 /// for the shared row-major A (k×m) and B_ex = b + ex·b_stride, computed
-/// into a per-thread panel (same ascending-p order as GemmTN) and handed
+/// into a per-thread panel (ascending-p accumulation, like GemmNN) and handed
 /// to consume(ex, panel) while cache-hot. Conv2d's backward consumes the
 /// column-space gradient panel with Col2ImAccumulate to scatter it onto
 /// the example's dX slice, so the materialized K×Q matrix never leaves
@@ -203,13 +164,6 @@ void GemmBatchedNT(
 void GemmBatchedTN(size_t m, size_t k, size_t n, size_t batch,
                    const float* a, const float* b, size_t b_stride,
                    FunctionRef<void(size_t ex, const float* panel)> consume);
-
-/// C (m×n) = (or +=) A (m×k) · Bᵀ for row-major B (n×k). Each element is
-/// a dot product of two unit-stride rows, accumulated in eight fixed
-/// interleaved partial sums (lane l takes p ≡ l mod 8) combined in lane
-/// order — deterministic and SIMD-friendly without -ffast-math.
-void GemmNT(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c, bool accumulate = false);
 
 /// Expands a (C, H, W) image into the (C·kh·kw) × (OH·OW) column matrix
 /// of a stride-1, symmetrically zero-padded convolution. Row r encodes

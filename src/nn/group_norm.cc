@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace dpbr {
 namespace nn {
@@ -22,9 +21,7 @@ GroupNorm::GroupNorm(size_t num_groups, size_t num_channels, double eps,
       eps_(eps),
       affine_(affine),
       gamma_(num_channels, 1.0f),
-      beta_(num_channels, 0.0f),
-      gamma_grad_(num_channels, 0.0f),
-      beta_grad_(num_channels, 0.0f) {
+      beta_(num_channels, 0.0f) {
   DPBR_CHECK_GT(groups_, 0u);
   DPBR_CHECK_EQ(channels_ % groups_, 0u);
 }
@@ -108,115 +105,36 @@ void GroupNorm::BackwardOne(const float* dy, const float* xhat,
   }
 }
 
-Tensor GroupNorm::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.ndim(), 3u);
-  DPBR_CHECK_EQ(x.dim(0), channels_);
-  size_t h = x.dim(1), w = x.dim(2);
-  float* xhat = ws_.Get(kXhatSlot, x.size());
-  double* inv_std = ws_.GetDouble(kInvStdSlot, groups_);
-  state_.SetPerExample(x.shape());
-  Tensor y({channels_, h, w});
-  ForwardOne(x.data(), h * w, xhat, y.data(), inv_std);
-  return y;
-}
-
-Tensor GroupNorm::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  size_t h = in[1], w = in[2];
-  RequireGradShape(grad_out, {channels_, h, w});
-  const float* xhat = ws_.Get(kXhatSlot, channels_ * h * w);
-  const double* inv_std = ws_.GetDouble(kInvStdSlot, groups_);
-  Tensor dx({channels_, h, w});
-  BackwardOne(grad_out.data(), xhat, inv_std, h * w, dx.data(),
-              affine_ ? gamma_grad_.data() : nullptr,
-              affine_ ? beta_grad_.data() : nullptr);
-  return dx;
-}
-
-Tensor GroupNorm::ForwardBatch(const Tensor& x) {
-  size_t batch = RequireBatchedInput(x, 4);
-  DPBR_CHECK_EQ(x.dim(1), channels_);
-  size_t h = x.dim(2), w = x.dim(3);
-  float* xhat = ws_.Get(kXhatSlot, x.size());
-  // Grow-only, never cleared: ForwardOne overwrites every (example,
-  // group) element it is handed, so zeroing would be pure memset cost.
-  double* inv_std = ws_.GetDouble(kInvStdSlot, batch * groups_);
-  state_.SetBatched(x.shape());
-  Tensor y({batch, channels_, h, w});
-  size_t stride = channels_ * h * w;
-  const float* xd = x.data();
-  float* yd = y.data();
-  // One dispatch per microbatch: examples touch disjoint slices of x̂, y
-  // and 1/std, and per-example statistics are independent, so the split
-  // (by example, shape-only) is race-free, pool-size invariant and
-  // bitwise equal to the serial per-example loop.
-  ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
-    for (size_t ex = e0; ex < e1; ++ex) {
-      ForwardOne(xd + ex * stride, h * w, xhat + ex * stride,
-                 yd + ex * stride, inv_std + ex * groups_);
-    }
-  });
-  return y;
-}
-
-Tensor GroupNorm::BackwardBatch(const Tensor& grad_out,
-                                const PerExampleGradSink& sink) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], h = in[2], w = in[3];
-  RequireGradShape(grad_out, {batch, channels_, h, w});
-  size_t stride = channels_ * h * w;
-  const float* xhat = ws_.Get(kXhatSlot, batch * stride);
-  const double* inv_std = ws_.GetDouble(kInvStdSlot, batch * groups_);
-  Tensor dx({batch, channels_, h, w});
-  const float* gy = grad_out.data();
-  float* dxd = dx.data();
-  // Per-example gradients stay separated (each example's affine gradient
-  // lands in its own sink row), but the per-example work runs inside one
-  // threaded dispatch: every example writes disjoint dx / sink slices.
-  ParallelForBlocked(batch, 1, [&](size_t e0, size_t e1) {
-    for (size_t ex = e0; ex < e1; ++ex) {
-      float* ggrad = nullptr;
-      float* bgrad = nullptr;
-      if (affine_) {
-        ggrad = sink.Slot(ex);
-        bgrad = ggrad + gamma_.size();
-      }
-      BackwardOne(gy + ex * stride, xhat + ex * stride,
-                  inv_std + ex * groups_, h * w, dxd + ex * stride, ggrad,
-                  bgrad);
-    }
-  });
-  return dx;
-}
-
 std::vector<size_t> GroupNorm::FuseForwardPrepare(
     size_t batch, const std::vector<size_t>& in_shape) {
   DPBR_CHECK_EQ(in_shape.size(), 3u);
   DPBR_CHECK_EQ(in_shape[0], channels_);
   size_t h = in_shape[1], w = in_shape[2];
-  fused_spatial_ = h * w;
-  fused_stride_ = channels_ * fused_spatial_;
-  fused_xhat_ = ws_.Get(kXhatSlot, batch * fused_stride_);
-  fused_inv_std_ = ws_.GetDouble(kInvStdSlot, batch * groups_);
-  state_.SetBatchedFused({batch, channels_, h, w});
+  spatial_ = h * w;
+  stride_ = channels_ * spatial_;
+  xhat_ = ws_.Get(kXhatSlot, batch * stride_);
+  // Grow-only, never cleared: ForwardOne overwrites every (example,
+  // group) element it is handed.
+  inv_std_ = ws_.GetDouble(kInvStdSlot, batch * groups_);
+  state_.SetBatched({batch, channels_, h, w});
   return in_shape;
 }
 
 void GroupNorm::FuseForwardEpilogue(size_t ex, float* block) {
   // In place (y == x): ForwardOne reads each element before writing its
   // slot (stats sweeps read only; the normalize sweep loads before it
-  // stores), so this is bitwise equal to the out-of-place unfused call.
-  ForwardOne(block, fused_spatial_, fused_xhat_ + ex * fused_stride_, block,
-             fused_inv_std_ + ex * groups_);
+  // stores), so this equals the out-of-place call bit for bit.
+  ForwardOne(block, spatial_, xhat_ + ex * stride_, block,
+             inv_std_ + ex * groups_);
 }
 
 void GroupNorm::FuseBackwardPrepare() {
   const std::vector<size_t>& in = RequireBatchedState();
   size_t batch = in[0];
-  fused_spatial_ = in[2] * in[3];
-  fused_stride_ = channels_ * fused_spatial_;
-  fused_xhat_ = ws_.Get(kXhatSlot, batch * fused_stride_);
-  fused_inv_std_ = ws_.GetDouble(kInvStdSlot, batch * groups_);
+  spatial_ = in[2] * in[3];
+  stride_ = channels_ * spatial_;
+  xhat_ = ws_.Get(kXhatSlot, batch * stride_);
+  inv_std_ = ws_.GetDouble(kInvStdSlot, batch * groups_);
 }
 
 void GroupNorm::FuseBackwardEpilogue(size_t ex, float* block,
@@ -230,16 +148,15 @@ void GroupNorm::FuseBackwardEpilogue(size_t ex, float* block,
   // In place (dx == dy): the affine and per-group reduction sweeps read
   // dy before the dx sweep overwrites it, group by group, and each
   // group's dx sweep touches only that group's slice.
-  BackwardOne(block, fused_xhat_ + ex * fused_stride_,
-              fused_inv_std_ + ex * groups_, fused_spatial_, block, ggrad,
-              bgrad);
+  BackwardOne(block, xhat_ + ex * stride_, inv_std_ + ex * groups_, spatial_,
+              block, ggrad, bgrad);
 }
 
 std::vector<ParamView> GroupNorm::Params() {
   if (!affine_) return {};
   return {
-      {gamma_.data(), gamma_grad_.data(), gamma_.size()},
-      {beta_.data(), beta_grad_.data(), beta_.size()},
+      {gamma_.data(), gamma_.size()},
+      {beta_.data(), beta_.size()},
   };
 }
 

@@ -1,9 +1,7 @@
-// GroupNorm over (C, H, W) examples and (N, C, H, W) microbatches, as
-// used by the paper's MNIST and Colorectal CNNs (NumGroups=4,
-// NumChannels=16). Statistics are always per example, so the batched
-// path runs the per-example kernel over all examples inside a single
-// threaded dispatch (examples are independent, the split is shape-only,
-// and the result is bitwise equal to the serial per-example loop).
+// GroupNorm over (C, H, W) examples, as used by the paper's MNIST and
+// Colorectal CNNs (NumGroups=4, NumChannels=16). Statistics are per
+// example, so the layer is a stage epilogue (nn/layer.h) that normalizes
+// each example's block in place.
 
 #ifndef DPBR_NN_GROUP_NORM_H_
 #define DPBR_NN_GROUP_NORM_H_
@@ -28,19 +26,13 @@ class GroupNorm : public Layer {
   GroupNorm(size_t num_groups, size_t num_channels, double eps = 1e-5,
             bool affine = true);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::vector<ParamView> Params() override;
   void InitParams(SplitRng* rng) override;  // γ=1, β=0
   std::string name() const override { return "GroupNorm"; }
 
-  // Stage-fusion epilogue: ForwardOne/BackwardOne applied in place on
-  // the anchor's output panel (both are aliasing-safe for y==x / dx==dy:
-  // every element is loaded before its slot is stored), so fused ==
-  // unfused bitwise.
+  // Stage epilogue: ForwardOne/BackwardOne applied in place on the
+  // example's block (both are aliasing-safe for y==x / dx==dy: every
+  // element is loaded before its slot is stored).
   FusionInfo fusion_info() const override {
     return {/*anchor=*/false, /*epilogue=*/true};
   }
@@ -66,17 +58,14 @@ class GroupNorm : public Layer {
   bool affine_;
   std::vector<float> gamma_;
   std::vector<float> beta_;
-  std::vector<float> gamma_grad_;
-  std::vector<float> beta_grad_;
   // Workspace-cached normalized input x̂ (float slot, batch-sized) and
-  // 1/std per (example, group) (double slot). Both grow-only and shared
-  // between the per-example and batched paths under `state_`'s guard.
+  // 1/std per (example, group) (double slot), both grow-only.
   Workspace ws_;
-  // Fused geometry and cache pointers, stashed by the serial prepare
-  // hooks (the in-dispatch hooks never grow the Workspace).
-  size_t fused_spatial_ = 0, fused_stride_ = 0;
-  float* fused_xhat_ = nullptr;
-  double* fused_inv_std_ = nullptr;
+  // Geometry and cache pointers, stashed by the serial prepare hooks
+  // (the in-dispatch hooks never grow the Workspace).
+  size_t spatial_ = 0, stride_ = 0;
+  float* xhat_ = nullptr;
+  double* inv_std_ = nullptr;
 };
 
 }  // namespace nn

@@ -1,113 +1,85 @@
-// Layer abstraction for per-example and batched forward/backward.
+// The layer contract: per-example hooks, driven by nn::FusionPlan.
 //
-// The DP protocol (Algorithm 1) consumes *per-example* gradients, so the
-// layer contract exposes two paths to them:
-//   * the per-example path (Forward/Backward), one example at a time, and
-//   * the microbatch path (ForwardBatch/BackwardBatch), which runs one
-//     kernel invocation per layer over a whole clipped microbatch and
-//     writes each example's parameter gradient to its own row of a
-//     (batch × model_dim) sink — the per-example separation the DP
-//     clipping needs, without the per-sample Python-loop shape.
-// Layers cache whatever they need during the forward pass; a layer
-// instance serves exactly one example or one microbatch at a time (each
-// federated worker owns a private model copy). The two paths share one
-// set of cache slots, so every stateful layer records which path wrote
-// them in a BatchState and every backward asserts the matching path —
-// interleaving Forward and ForwardBatch (eval between training steps)
-// can therefore never silently read stale shapes or activations.
+// The DP protocol (Algorithm 1) clips each example's gradient, so the nn
+// stack has one production job: run a microbatch forward and write every
+// example's parameter gradient to its own row of a (batch × d) sink. A
+// layer implements that job exactly once, as the per-example hooks
+// below, and nn::FusionPlan (nn/fusion.h) is their only driver. The plan
+// folds a Sequential's layers into groups and stages and runs each stage
+// as ONE dispatch over examples; the task for example ex calls the hooks
+// for ex only. A lone layer runs as a one-group stage, so disabling
+// fusion changes how layers are grouped, never which code runs.
 //
-// On top of the two paths sits the fused-stage protocol: layers that
-// advertise a FusionInfo role take part in cross-layer stage fusion
-// (nn::FusionPlan), where a run of layers executes as ONE dispatch with
-// intermediate activations streamed through per-thread panels. The fused
-// hooks fill exactly the same caches and record the same BatchState the
-// unfused batched path does, so fused and unfused passes interoperate
-// bitwise (a fused forward can feed an unfused backward and vice versa).
+// Each leaf layer advertises one role (FusionInfo):
+//   * an anchor maps an example's input block to its output block and
+//     owns the group's kernel (Conv2d, Linear, AdaptiveAvgPool2d);
+//   * an epilogue transforms the block in place and keeps its element
+//     count (ELU, ReLU, GroupNorm, and Flatten, which maps the shape
+//     only).
+// A group is an optional anchor followed by epilogues; a group without
+// an anchor starts from a copy of its input block.
+//
+// Cached state: the serial prepare hooks size each layer's grow-only
+// caches for the whole microbatch and record the input shape in a
+// BatchState; the in-dispatch hooks read and write only their example's
+// slices. A layer instance serves one microbatch at a time (each
+// federated worker owns a private model copy), and a backward with no
+// forward behind it fails loudly instead of reading stale caches.
 
 #ifndef DPBR_NN_LAYER_H_
 #define DPBR_NN_LAYER_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/rng.h"
-#include "nn/gemm.h"
 #include "tensor/tensor.h"
 
 namespace dpbr {
 namespace nn {
 
+class Residual;
 class Sequential;
 
-/// Tag + shape record for a layer's cached forward state.
+/// Shape record for a layer's cached forward state.
 ///
-/// Layers keep one set of cache slots (workspace buffers, shape fields)
-/// shared between the per-example and the batched path, so a backward
-/// call is only valid against the *last* forward's path: a 3-D Backward
-/// after a 4-D ForwardBatch would otherwise misread `[batch, c, h]` as
-/// `[c, h, w]` and consume stale activations. BatchState makes that
-/// contract checked — each forward records its path and input shape,
-/// each backward asserts the matching path and reads the shape back;
-/// a mismatch DPBR_CHECK-fails loudly instead of corrupting gradients.
-///
-/// The batched path additionally records *how* it ran: a fused-stage
-/// forward (one dispatch for a whole layer group) marks the state
-/// fused. The caches it fills are bitwise identical to the unfused
-/// batched ones, so RequireBatched accepts both; the flag exists so
-/// tests and diagnostics can tell which driver produced the state.
+/// Each forward prepare records its batched input shape; each backward
+/// prepare reads it back to re-derive the geometry of the caches it
+/// consumes. A backward before any forward DPBR_CHECK-fails loudly
+/// instead of reading uninitialized caches.
 class BatchState {
  public:
-  /// Records a per-example forward whose cached input shape is `shape`.
-  void SetPerExample(const std::vector<size_t>& shape);
+  /// Records a forward; `shape`'s leading dimension is the batch.
+  void SetBatched(const std::vector<size_t>& shape) { shape_ = shape; }
 
-  /// Records a batched forward; `shape`'s leading dimension is the batch.
-  void SetBatched(const std::vector<size_t>& shape);
-
-  /// Records a batched forward executed by a fused stage driver.
-  void SetBatchedFused(const std::vector<size_t>& shape);
-
-  /// True when the last forward was batched AND ran fused.
-  bool last_forward_fused() const { return fused_; }
-
-  /// Returns the cached per-example input shape; fails fatally (naming
-  /// `layer`) unless the last forward was the per-example path.
-  const std::vector<size_t>& RequirePerExample(const char* layer) const;
-
-  /// Returns the cached batched input shape (dim 0 = batch size); fails
-  /// fatally unless the last forward was the batched path (fused or
-  /// not — their caches are interchangeable).
+  /// Returns the recorded shape (dim 0 = batch size); fails fatally
+  /// (naming `layer`) when no forward has run.
   const std::vector<size_t>& RequireBatched(const char* layer) const;
 
  private:
-  enum class Path : uint8_t { kNone, kPerExample, kBatched };
-
-  Path path_ = Path::kNone;
-  bool fused_ = false;
-  // Assigned (not reallocated, after the first call of equal rank) each
-  // forward; reads hand out a const reference, never a copy.
+  // Empty until the first forward; assigned (not reallocated, after the
+  // first call of equal rank) each forward.
   std::vector<size_t> shape_;
 };
 
-/// Mutable view into one parameter tensor and its gradient accumulator.
+/// Mutable view into one parameter tensor.
 struct ParamView {
   float* value = nullptr;
-  float* grad = nullptr;
   size_t size = 0;
 };
 
-/// Destination for per-example parameter gradients during BackwardBatch.
+/// Destination for per-example parameter gradients during a backward.
 /// Example j's gradient for this layer's parameter p lands at
 /// base[j * stride + offset + p]; rows must be zeroed by the caller
 /// before the backward pass (layers accumulate into them).
 ///
-/// Row ownership under batched dispatches: layers write sink rows from
-/// inside their single ParallelForBlocked backward dispatch, where the
-/// task handling example j owns row j exclusively (examples are split
-/// across tasks by the shape only, and no two examples share a row), so
-/// the writes are race-free and the row contents are independent of the
-/// pool size — the TSan-tier case in
+/// Row ownership: layers write sink rows from inside a stage's backward
+/// dispatch, where the task handling example j owns row j exclusively
+/// (examples are split across tasks by the shape only, and no two
+/// examples share a row), so the writes are race-free and the row
+/// contents are independent of the pool size — the TSan-tier case in
 /// tests/aggregators/determinism_test.cc pins this.
 struct PerExampleGradSink {
   float* base = nullptr;
@@ -123,14 +95,29 @@ struct PerExampleGradSink {
   }
 };
 
-/// A layer's stage-fusion capabilities. A fused group is one anchor
-/// (the layer that runs the group's GEMM) followed by zero or more
-/// epilogue layers (elementwise / per-example post-ops applied to the
-/// anchor's output block while cache-hot); nn::FusionPlan folds runs of
-/// such groups into single-dispatch FusedStage nodes.
+/// One post-op applied to an example's output block while cache-hot:
+/// op(ex, block) transforms example `ex`'s block in place. Non-owning
+/// (FunctionRef) — callables live in a stable side array for the
+/// duration of the stage.
+using EpilogueOp = FunctionRef<void(size_t ex, float* block)>;
+
+/// The ordered epilogues of one group, which an anchor applies to its
+/// output block right after computing it. A default-constructed chain is
+/// empty.
+struct EpilogueChain {
+  const EpilogueOp* ops = nullptr;
+  size_t count = 0;
+
+  void Apply(size_t ex, float* block) const {
+    for (size_t i = 0; i < count; ++i) ops[i](ex, block);
+  }
+};
+
+/// A layer's role in a group (see the header comment). Containers and
+/// Residual advertise neither; the planner looks through them.
 struct FusionInfo {
-  bool anchor = false;    ///< can start a fused group (Conv2d, Linear)
-  bool epilogue = false;  ///< can run as a panel post-op (ELU, ReLU, GN)
+  bool anchor = false;    ///< starts a group (Conv2d, Linear, pooling)
+  bool epilogue = false;  ///< in-place post-op (ELU, ReLU, GN, Flatten)
 };
 
 /// Base class for all layers.
@@ -138,27 +125,7 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output for a single example, caching activations
-  /// needed by Backward.
-  virtual Tensor Forward(const Tensor& x) = 0;
-
-  /// Given dL/d(output), accumulates dL/d(params) into the grad buffers
-  /// and returns dL/d(input). Must be preceded by a matching Forward.
-  virtual Tensor Backward(const Tensor& grad_out) = 0;
-
-  /// Computes the layer output for a microbatch whose leading dimension
-  /// is the batch size. Caches batch activations for BackwardBatch. The
-  /// default CHECK-fails; every layer the model zoo uses overrides it.
-  virtual Tensor ForwardBatch(const Tensor& x);
-
-  /// Batched counterpart of Backward: returns dL/d(input) with leading
-  /// batch dimension and writes *per-example* parameter gradients into
-  /// `sink` (accumulating; rows pre-zeroed by the caller). Must be
-  /// preceded by a matching ForwardBatch.
-  virtual Tensor BackwardBatch(const Tensor& grad_out,
-                               const PerExampleGradSink& sink);
-
-  // --- stage-fusion protocol (see nn/fusion.h) -----------------------
+  // --- execution hooks (driven by nn::FusionPlan) ----------------------
   //
   // All hooks default to a fatal error; layers implement exactly the
   // subset their fusion_info() advertises. Prepare hooks run serially
@@ -167,12 +134,12 @@ class Layer {
   // and must therefore neither allocate nor touch shared mutable state
   // outside their example's slices.
 
-  /// This layer's fusion capabilities ({} = opaque, never fused).
+  /// This layer's role ({} = a container, never executed directly).
   virtual FusionInfo fusion_info() const { return {}; }
 
-  /// Anchor, serial: asserts the per-example input shape, grows caches
-  /// for `batch` examples, records the (fused) batched state. Returns
-  /// the per-example output shape.
+  /// Serial: asserts the per-example input shape, grows caches for
+  /// `batch` examples, records the batched state. Returns the
+  /// per-example output shape (an epilogue's keeps the element count).
   virtual std::vector<size_t> FuseForwardPrepare(
       size_t batch, const std::vector<size_t>& in_shape);
 
@@ -182,22 +149,13 @@ class Layer {
   virtual void FuseForwardAnchor(size_t ex, const float* x, float* y,
                                  EpilogueChain chain);
 
-  /// Anchor, serial: whole-microbatch fast path — runs all examples as
-  /// one batched-GEMM dispatch with `chain` applied per example inside
-  /// the kernel (the single-group stage case). Returns false when the
-  /// anchor has no such kernel (driver falls back to the per-example
-  /// path).
-  virtual bool FuseForwardWholeBatch(size_t batch, const float* x, float* y,
-                                     EpilogueChain chain);
-
   /// Epilogue, in-dispatch: in-place post-op on example ex's block
   /// (size = the group's per-example output size), caching whatever its
   /// backward needs at example ex's offsets.
   virtual void FuseForwardEpilogue(size_t ex, float* block);
 
   /// Serial, before the backward dispatch (reverse layer order):
-  /// asserts the batched-forward state so the fused backward fails
-  /// exactly like an unfused BackwardBatch would on a stale cache.
+  /// asserts a forward has run and re-derives the cache geometry.
   virtual void FuseBackwardPrepare();
 
   /// Epilogue, in-dispatch: in-place transform of example ex's gradient
@@ -213,12 +171,16 @@ class Layer {
   virtual void FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
                                   const PerExampleGradSink& sink);
 
-  /// Containers the fusion planner can flatten return themselves.
+  // --- structure --------------------------------------------------------
+
+  /// Containers the planner flattens return themselves.
   virtual Sequential* AsSequential() { return nullptr; }
 
+  /// A Residual returns itself: the planner runs it as its own step.
+  virtual Residual* AsResidual() { return nullptr; }
+
   /// Enables/disables stage fusion in this layer and every container it
-  /// owns (Sequential and Residual propagate; leaves ignore it). Tests
-  /// use it to pin the unfused reference path.
+  /// owns (Sequential and Residual propagate; leaves ignore it).
   virtual void SetFusionEnabled(bool /*enabled*/) {}
 
   /// Views over this layer's parameters (empty for stateless layers).
@@ -227,44 +189,17 @@ class Layer {
   /// Initializes parameters (weights: layer-appropriate scheme; biases: 0).
   virtual void InitParams(SplitRng* /*rng*/) {}
 
-  /// Zeroes all gradient accumulators.
-  void ZeroGrad();
-
   /// Total number of scalar parameters.
   size_t NumParams();
 
   virtual std::string name() const = 0;
 
  protected:
-  // --- shared precondition helpers ----------------------------------
-  //
-  // Every batched entry point — unfused ForwardBatch/BackwardBatch and
-  // the fused prepare hooks — asserts through these, so the two drivers
-  // fail identically on the same contract violation (same message, same
-  // check) instead of each layer hand-rolling its own copies.
-
-  /// Batched-forward input check: `x` must have rank `rank` (at least
-  /// `rank` when `at_least_rank`) and a positive leading batch
-  /// dimension. Returns the batch size. Layer-specific dimension checks
-  /// and the SetBatched recording stay with the caller (they need the
-  /// layer's own fields).
-  size_t RequireBatchedInput(const Tensor& x, size_t rank,
-                             bool at_least_rank = false) const;
-
-  /// Asserts the last forward was batched (naming this layer) and
-  /// returns its cached input shape (dim 0 = batch).
+  /// Asserts a forward has run (naming this layer) and returns its
+  /// recorded input shape (dim 0 = batch).
   const std::vector<size_t>& RequireBatchedState() const;
 
-  /// Asserts the last forward was per-example (naming this layer) and
-  /// returns its cached input shape.
-  const std::vector<size_t>& RequirePerExampleState() const;
-
-  /// Asserts `grad_out`'s shape is exactly `expected`.
-  void RequireGradShape(const Tensor& grad_out,
-                        const std::vector<size_t>& expected) const;
-
-  /// Which path (per-example, batched, fused-batched) last filled this
-  /// layer's shared caches.
+  /// The input shape the last forward prepare recorded.
   BatchState state_;
 };
 

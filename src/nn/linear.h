@@ -1,9 +1,7 @@
-// Fully connected layer: y = W x + b, batched on the shared GEMM
-// primitive (src/nn/gemm.h) with workspace-cached activations. The
-// batched backward runs the whole microbatch — per-example dW/db rows
-// into the PerExampleGradSink plus each example's dX row — as one
-// dispatch split over examples, bitwise equal to the per-example
-// Ger/Axpy/GemmNN path.
+// Fully connected layer: y = W x + b, a stage anchor (nn/layer.h) on the
+// serial row GEMM primitives (src/nn/gemm.h) with workspace-cached
+// inputs. The backward anchor writes the example's dW/db row into its
+// PerExampleGradSink row (a rank-1 Ger plus an Axpy) and its dX row.
 
 #ifndef DPBR_NN_LINEAR_H_
 #define DPBR_NN_LINEAR_H_
@@ -22,11 +20,6 @@ class Linear : public Layer {
  public:
   Linear(size_t in_features, size_t out_features);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::vector<ParamView> Params() override;
 
   /// He-uniform weights (suits the ELU/ReLU nets used here), zero bias.
@@ -34,9 +27,7 @@ class Linear : public Layer {
 
   std::string name() const override { return "Linear"; }
 
-  // Stage-fusion anchor: the per-example hooks run the unfused batched
-  // paths' exact per-row kernels (GemmNTSerialRow / Ger / Axpy /
-  // GemmNNSerialRow), so fused == unfused bitwise.
+  // Stage anchor.
   FusionInfo fusion_info() const override {
     return {/*anchor=*/true, /*epilogue=*/false};
   }
@@ -56,13 +47,11 @@ class Linear : public Layer {
   size_t out_;
   std::vector<float> weight_;       // out x in, row-major
   std::vector<float> bias_;         // out
-  std::vector<float> weight_grad_;  // accumulates across examples
-  std::vector<float> bias_grad_;
-  // Workspace-cached input(s) from the last forward pass.
+  // Workspace-cached inputs from the last forward pass.
   Workspace ws_;
-  // Cache pointer stashed by the fused prepare hooks (the in-dispatch
-  // hooks never touch the Workspace, which must not grow concurrently).
-  float* fused_in_cache_ = nullptr;
+  // Cache pointer stashed by the prepare hooks (the in-dispatch hooks
+  // never touch the Workspace, which must not grow concurrently).
+  float* in_cache_ = nullptr;
 };
 
 }  // namespace nn

@@ -1,10 +1,9 @@
 #include "nn/pooling.h"
 
-#include <numeric>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace dpbr {
 namespace nn {
@@ -18,9 +17,9 @@ inline size_t RegionEnd(size_t i, size_t in, size_t out) {
   return ((i + 1) * in + out - 1) / out;  // ceil
 }
 
-size_t ShapeProduct(const std::vector<size_t>& shape, size_t from) {
+size_t ShapeProduct(const std::vector<size_t>& shape) {
   size_t p = 1;
-  for (size_t i = from; i < shape.size(); ++i) p *= shape[i];
+  for (size_t d : shape) p *= d;
   return p;
 }
 
@@ -32,15 +31,15 @@ AdaptiveAvgPool2d::AdaptiveAvgPool2d(size_t out_h, size_t out_w)
   DPBR_CHECK_GT(out_w_, 0u);
 }
 
-void AdaptiveAvgPool2d::PlaneForward(const float* plane, size_t h, size_t w,
+void AdaptiveAvgPool2d::PlaneForward(const float* plane,
                                      float* out_plane) const {
   for (size_t i = 0; i < out_h_; ++i) {
-    size_t h0 = RegionStart(i, h, out_h_), h1 = RegionEnd(i, h, out_h_);
+    size_t h0 = RegionStart(i, h_, out_h_), h1 = RegionEnd(i, h_, out_h_);
     for (size_t j = 0; j < out_w_; ++j) {
-      size_t w0 = RegionStart(j, w, out_w_), w1 = RegionEnd(j, w, out_w_);
+      size_t w0 = RegionStart(j, w_, out_w_), w1 = RegionEnd(j, w_, out_w_);
       double s = 0.0;
       for (size_t a = h0; a < h1; ++a) {
-        for (size_t b = w0; b < w1; ++b) s += plane[a * w + b];
+        for (size_t b = w0; b < w1; ++b) s += plane[a * w_ + b];
       }
       out_plane[i * out_w_ + j] =
           static_cast<float>(s / static_cast<double>((h1 - h0) * (w1 - w0)));
@@ -48,131 +47,71 @@ void AdaptiveAvgPool2d::PlaneForward(const float* plane, size_t h, size_t w,
   }
 }
 
-void AdaptiveAvgPool2d::PlaneBackward(const float* gy_plane, size_t h,
-                                      size_t w, float* dx_plane) const {
+void AdaptiveAvgPool2d::PlaneBackward(const float* gy_plane,
+                                      float* dx_plane) const {
   // Broadcast-add per row segment is element-wise (one add per element),
   // so the SIMD path is bitwise equal to the scalar loop. The forward
   // region sums stay sequential scalar.
   const simd::SimdKernels& kern = simd::Kernels();
   for (size_t i = 0; i < out_h_; ++i) {
-    size_t h0 = RegionStart(i, h, out_h_), h1 = RegionEnd(i, h, out_h_);
+    size_t h0 = RegionStart(i, h_, out_h_), h1 = RegionEnd(i, h_, out_h_);
     for (size_t j = 0; j < out_w_; ++j) {
-      size_t w0 = RegionStart(j, w, out_w_), w1 = RegionEnd(j, w, out_w_);
+      size_t w0 = RegionStart(j, w_, out_w_), w1 = RegionEnd(j, w_, out_w_);
       float g = gy_plane[i * out_w_ + j] /
                 static_cast<float>((h1 - h0) * (w1 - w0));
       for (size_t a = h0; a < h1; ++a) {
-        kern.add_scalar_f32(g, dx_plane + a * w + w0, w1 - w0);
+        kern.add_scalar_f32(g, dx_plane + a * w_ + w0, w1 - w0);
       }
     }
   }
 }
 
-void AdaptiveAvgPool2d::ForwardOne(const float* x, size_t c, size_t h,
-                                   size_t w, float* y) {
-  for (size_t ch = 0; ch < c; ++ch) {
-    PlaneForward(x + ch * h * w, h, w, y + ch * out_h_ * out_w_);
+std::vector<size_t> AdaptiveAvgPool2d::FuseForwardPrepare(
+    size_t batch, const std::vector<size_t>& in_shape) {
+  DPBR_CHECK_EQ(in_shape.size(), 3u);
+  c_ = in_shape[0];
+  h_ = in_shape[1];
+  w_ = in_shape[2];
+  DPBR_CHECK_GE(h_, out_h_);
+  DPBR_CHECK_GE(w_, out_w_);
+  state_.SetBatched({batch, c_, h_, w_});
+  return {c_, out_h_, out_w_};
+}
+
+void AdaptiveAvgPool2d::FuseForwardAnchor(size_t ex, const float* x,
+                                          float* y, EpilogueChain chain) {
+  for (size_t ch = 0; ch < c_; ++ch) {
+    PlaneForward(x + ch * h_ * w_, y + ch * out_h_ * out_w_);
+  }
+  chain.Apply(ex, y);
+}
+
+void AdaptiveAvgPool2d::FuseBackwardPrepare() {
+  const std::vector<size_t>& in = RequireBatchedState();
+  c_ = in[1];
+  h_ = in[2];
+  w_ = in[3];
+}
+
+void AdaptiveAvgPool2d::FuseBackwardAnchor(
+    size_t /*ex*/, const float* gy, float* gx,
+    const PerExampleGradSink& /*sink*/) {
+  // The scatter-add accumulates, so every plane starts from zero.
+  std::memset(gx, 0, c_ * h_ * w_ * sizeof(float));
+  for (size_t ch = 0; ch < c_; ++ch) {
+    PlaneBackward(gy + ch * out_h_ * out_w_, gx + ch * h_ * w_);
   }
 }
 
-void AdaptiveAvgPool2d::BackwardOne(const float* gy, size_t c, size_t h,
-                                    size_t w, float* dx) {
-  for (size_t ch = 0; ch < c; ++ch) {
-    PlaneBackward(gy + ch * out_h_ * out_w_, h, w, dx + ch * h * w);
-  }
+std::vector<size_t> Flatten::FuseForwardPrepare(
+    size_t batch, const std::vector<size_t>& in_shape) {
+  std::vector<size_t> shape = {batch};
+  shape.insert(shape.end(), in_shape.begin(), in_shape.end());
+  state_.SetBatched(shape);
+  return {ShapeProduct(in_shape)};
 }
 
-Tensor AdaptiveAvgPool2d::Forward(const Tensor& x) {
-  DPBR_CHECK_EQ(x.ndim(), 3u);
-  size_t c = x.dim(0), h = x.dim(1), w = x.dim(2);
-  DPBR_CHECK_GE(h, out_h_);
-  DPBR_CHECK_GE(w, out_w_);
-  state_.SetPerExample(x.shape());
-  Tensor y({c, out_h_, out_w_});
-  ForwardOne(x.data(), c, h, w, y.data());
-  return y;
-}
-
-Tensor AdaptiveAvgPool2d::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  size_t c = in[0], h = in[1], w = in[2];
-  RequireGradShape(grad_out, {c, out_h_, out_w_});
-  Tensor dx({c, h, w});
-  BackwardOne(grad_out.data(), c, h, w, dx.data());
-  return dx;
-}
-
-Tensor AdaptiveAvgPool2d::ForwardBatch(const Tensor& x) {
-  size_t batch = RequireBatchedInput(x, 4);
-  size_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  DPBR_CHECK_GE(h, out_h_);
-  DPBR_CHECK_GE(w, out_w_);
-  state_.SetBatched(x.shape());
-  Tensor y({batch, c, out_h_, out_w_});
-  const float* xd = x.data();
-  float* yd = y.data();
-  // One dispatch over all batch·C planes: the (N, C, H, W) layout makes
-  // plane p's input slice xd + p·H·W and output slice yd + p·oh·ow, all
-  // disjoint, so the plane-level split (shape-only) is race-free, pool-
-  // size invariant and bitwise equal to the per-example channel loop.
-  ParallelForBlocked(batch * c, 1, [&](size_t p0, size_t p1) {
-    for (size_t p = p0; p < p1; ++p) {
-      PlaneForward(xd + p * h * w, h, w, yd + p * out_h_ * out_w_);
-    }
-  });
-  return y;
-}
-
-Tensor AdaptiveAvgPool2d::BackwardBatch(const Tensor& grad_out,
-                                        const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  size_t batch = in[0], c = in[1], h = in[2], w = in[3];
-  RequireGradShape(grad_out, {batch, c, out_h_, out_w_});
-  Tensor dx({batch, c, h, w});
-  const float* gy = grad_out.data();
-  float* dxd = dx.data();
-  // Same plane-level dispatch as the forward; dx planes are disjoint and
-  // pre-zeroed by the Tensor constructor, so the scatter-add per plane
-  // accumulates in the same fixed order as the serial loop.
-  ParallelForBlocked(batch * c, 1, [&](size_t p0, size_t p1) {
-    for (size_t p = p0; p < p1; ++p) {
-      PlaneBackward(gy + p * out_h_ * out_w_, h, w, dxd + p * h * w);
-    }
-  });
-  return dx;
-}
-
-Tensor Flatten::Forward(const Tensor& x) {
-  state_.SetPerExample(x.shape());
-  auto r = x.Reshape({x.size()});
-  DPBR_CHECK(r.ok());
-  return std::move(r).value();
-}
-
-Tensor Flatten::Backward(const Tensor& grad_out) {
-  const std::vector<size_t>& in = RequirePerExampleState();
-  DPBR_CHECK_EQ(grad_out.size(), ShapeProduct(in, 0));
-  auto r = grad_out.Reshape(in);
-  DPBR_CHECK(r.ok());
-  return std::move(r).value();
-}
-
-Tensor Flatten::ForwardBatch(const Tensor& x) {
-  RequireBatchedInput(x, 2, /*at_least_rank=*/true);
-  state_.SetBatched(x.shape());
-  auto r = x.Reshape({x.dim(0), ShapeProduct(x.shape(), 1)});
-  DPBR_CHECK(r.ok());
-  return std::move(r).value();
-}
-
-Tensor Flatten::BackwardBatch(const Tensor& grad_out,
-                              const PerExampleGradSink& /*sink*/) {
-  const std::vector<size_t>& in = RequireBatchedState();
-  DPBR_CHECK_EQ(grad_out.dim(0), in[0]);
-  DPBR_CHECK_EQ(grad_out.size(), ShapeProduct(in, 0));
-  auto r = grad_out.Reshape(in);
-  DPBR_CHECK(r.ok());
-  return std::move(r).value();
-}
+void Flatten::FuseBackwardPrepare() { RequireBatchedState(); }
 
 }  // namespace nn
 }  // namespace dpbr

@@ -1,8 +1,7 @@
-// Adaptive average pooling and flattening, with batched variants. Both
-// layers cache only the input *shape* (never activations), recorded in a
-// BatchState so the per-example and batched paths can never read each
-// other's cached shape undetected; the batched pool runs all (example,
-// channel) planes inside a single threaded dispatch.
+// Adaptive average pooling and flattening. Both cache only the input
+// *shape* (never activations). AdaptiveAvgPool2d is a stage anchor built
+// on one plane kernel per (channel) plane; Flatten is a shape-only stage
+// epilogue (nn/layer.h) whose per-example hooks do nothing.
 
 #ifndef DPBR_NN_POOLING_H_
 #define DPBR_NN_POOLING_H_
@@ -22,41 +21,47 @@ class AdaptiveAvgPool2d : public Layer {
  public:
   AdaptiveAvgPool2d(size_t out_h, size_t out_w);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::string name() const override { return "AdaptiveAvgPool2d"; }
 
- private:
-  /// Pools one (H, W) plane; the `dx` variant scatters the gradient.
-  /// Planes are the unit of batched parallelism: each (example, channel)
-  /// plane is independent, so both the per-example channel loop and the
-  /// batched dispatch run the identical plane kernel.
-  void PlaneForward(const float* plane, size_t h, size_t w,
-                    float* out_plane) const;
-  void PlaneBackward(const float* gy_plane, size_t h, size_t w,
-                     float* dx_plane) const;
+  // Stage anchor.
+  FusionInfo fusion_info() const override {
+    return {/*anchor=*/true, /*epilogue=*/false};
+  }
+  std::vector<size_t> FuseForwardPrepare(
+      size_t batch, const std::vector<size_t>& in_shape) override;
+  void FuseForwardAnchor(size_t ex, const float* x, float* y,
+                         EpilogueChain chain) override;
+  void FuseBackwardPrepare() override;
+  void FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
+                          const PerExampleGradSink& sink) override;
 
-  /// Pools one (C, H, W) example; `dx` variant scatters the gradient.
-  void ForwardOne(const float* x, size_t c, size_t h, size_t w, float* y);
-  void BackwardOne(const float* gy, size_t c, size_t h, size_t w, float* dx);
+ private:
+  /// Pools one (H, W) plane; the backward scatter-adds the gradient.
+  void PlaneForward(const float* plane, float* out_plane) const;
+  void PlaneBackward(const float* gy_plane, float* dx_plane) const;
 
   size_t out_h_;
   size_t out_w_;
+  // Per-example input geometry, stashed by the serial prepare hooks.
+  size_t c_ = 0, h_ = 0, w_ = 0;
 };
 
-/// Flattens each example to 1-d; Backward restores the original shape.
-/// The batched variant maps (N, d1, ..., dk) to (N, d1·...·dk).
+/// Flattens each example to 1-d: (d1, ..., dk) → (d1·...·dk). The stage
+/// driver restores the input shape on the way back.
 class Flatten : public Layer {
  public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::string name() const override { return "Flatten"; }
+
+  // Shape-only stage epilogue.
+  FusionInfo fusion_info() const override {
+    return {/*anchor=*/false, /*epilogue=*/true};
+  }
+  std::vector<size_t> FuseForwardPrepare(
+      size_t batch, const std::vector<size_t>& in_shape) override;
+  void FuseForwardEpilogue(size_t /*ex*/, float* /*block*/) override {}
+  void FuseBackwardPrepare() override;
+  void FuseBackwardEpilogue(size_t /*ex*/, float* /*block*/,
+                            const PerExampleGradSink& /*sink*/) override {}
 };
 
 }  // namespace nn

@@ -1,6 +1,6 @@
 #include "nn/sequential.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/logging.h"
 #include "nn/fusion.h"
@@ -29,46 +29,17 @@ void Sequential::SetFusionEnabled(bool enabled) {
 }
 
 FusionPlan* Sequential::plan() {
-  if (!fusion_enabled_) return nullptr;
-  if (!plan_) plan_ = FusionPlan::Build(this);
+  if (!plan_) plan_ = FusionPlan::Build(this, fusion_enabled_);
   return plan_.get();
 }
 
-Tensor Sequential::Forward(const Tensor& x) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->Forward(h);
-  return h;
-}
-
-Tensor Sequential::Backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
-  return g;
-}
-
 Tensor Sequential::ForwardBatch(const Tensor& x) {
-  // Route through the fusion plan only when it actually fuses something;
-  // an all-plain plan is the loop below with extra indirection.
-  FusionPlan* p = plan();
-  if (p != nullptr && p->has_fused_stage()) return p->ForwardBatch(x);
-  Tensor h = x;
-  for (auto& l : layers_) h = l->ForwardBatch(h);
-  return h;
+  return plan()->ForwardBatch(x);
 }
 
 Tensor Sequential::BackwardBatch(const Tensor& grad_out,
                                  const PerExampleGradSink& sink) {
-  FusionPlan* p = plan();
-  if (p != nullptr && p->has_fused_stage()) {
-    return p->BackwardBatch(grad_out, sink);
-  }
-  Tensor g = grad_out;
-  for (size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->BackwardBatch(g, sink.Shifted(param_offsets_[i]));
-  }
-  return g;
+  return plan()->BackwardBatch(grad_out, sink);
 }
 
 Tensor Sequential::BackwardBatchTo(const Tensor& grad_out, size_t batch,
@@ -78,7 +49,8 @@ Tensor Sequential::BackwardBatchTo(const Tensor& grad_out, size_t batch,
   // parameter count changes after registration: a stale table would
   // misalign every downstream sink row silently.
   DPBR_CHECK_EQ(dim, NumParams());
-  std::memset(grads, 0, batch * dim * sizeof(float));
+  // fill_n, not memset: a parameter-free model may pass a null `grads`.
+  std::fill_n(grads, batch * dim, 0.0f);
   PerExampleGradSink sink{grads, dim, 0};
   return BackwardBatch(grad_out, sink);
 }
@@ -117,58 +89,15 @@ void Sequential::SetParamsFrom(const float* in) {
   }
 }
 
-void Sequential::CopyGradsTo(float* out) {
-  size_t off = 0;
-  for (auto& p : Params()) {
-    for (size_t i = 0; i < p.size; ++i) out[off + i] = p.grad[i];
-    off += p.size;
-  }
-}
-
 std::vector<float> Sequential::FlatParams() {
   std::vector<float> v(NumParams());
   CopyParamsTo(v.data());
   return v;
 }
 
-std::vector<float> Sequential::FlatGrads() {
-  std::vector<float> v(NumParams());
-  CopyGradsTo(v.data());
-  return v;
-}
-
 Residual::Residual(std::unique_ptr<Sequential> body)
     : body_(std::move(body)) {
   DPBR_CHECK(body_ != nullptr);
-}
-
-Tensor Residual::Forward(const Tensor& x) {
-  Tensor y = body_->Forward(x);
-  DPBR_CHECK(y.SameShape(x));
-  for (size_t i = 0; i < y.size(); ++i) y[i] += x[i];
-  return y;
-}
-
-Tensor Residual::Backward(const Tensor& grad_out) {
-  Tensor dx = body_->Backward(grad_out);
-  DPBR_CHECK(dx.SameShape(grad_out));
-  for (size_t i = 0; i < dx.size(); ++i) dx[i] += grad_out[i];
-  return dx;
-}
-
-Tensor Residual::ForwardBatch(const Tensor& x) {
-  Tensor y = body_->ForwardBatch(x);
-  DPBR_CHECK(y.SameShape(x));
-  for (size_t i = 0; i < y.size(); ++i) y[i] += x[i];
-  return y;
-}
-
-Tensor Residual::BackwardBatch(const Tensor& grad_out,
-                               const PerExampleGradSink& sink) {
-  Tensor dx = body_->BackwardBatch(grad_out, sink);
-  DPBR_CHECK(dx.SameShape(grad_out));
-  for (size_t i = 0; i < dx.size(); ++i) dx[i] += grad_out[i];
-  return dx;
 }
 
 void Residual::SetFusionEnabled(bool enabled) {

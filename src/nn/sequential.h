@@ -19,12 +19,11 @@ class FusionPlan;
 
 /// Chain of layers applied in order.
 ///
-/// The batched paths route through a lazily built FusionPlan
-/// (nn/fusion.h): runs of fusable layers (Conv2d→ELU→GroupNorm,
-/// Linear→ReLU, ...) collapse into single-dispatch FusedStage nodes,
-/// bitwise equal to the plain per-layer loop. The plan is an execution
-/// overlay only — `layers_`, parameter offsets and InitParams streams
-/// are never restructured by it.
+/// The batched passes run through a lazily built FusionPlan
+/// (nn/fusion.h), the only driver of the layer hooks: runs of layers
+/// (Conv2d→ELU→GroupNorm, Linear→ReLU, ...) execute as single-dispatch
+/// stages. The plan is an execution overlay only — `layers_`, parameter
+/// offsets and InitParams streams are never restructured by it.
 class Sequential : public Layer {
  public:
   // Out of line: FusionPlan is incomplete here (unique_ptr member).
@@ -34,11 +33,15 @@ class Sequential : public Layer {
   /// Appends a layer (builder style). Invalidates the fusion plan.
   Sequential& Add(LayerPtr layer);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
+  /// Forward pass over a microbatch whose leading dimension is the batch
+  /// size. Caches what the next backward needs.
+  Tensor ForwardBatch(const Tensor& x);
+
+  /// Backward pass after ForwardBatch: returns dL/d(input) with leading
+  /// batch dimension and accumulates each example's parameter gradient
+  /// into its own row of `sink` (rows pre-zeroed by the caller).
+  Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink);
+
   std::vector<ParamView> Params() override;
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Sequential"; }
@@ -46,23 +49,16 @@ class Sequential : public Layer {
   Sequential* AsSequential() override { return this; }
 
   /// Toggles stage fusion (default on), recursively through nested
-  /// containers, and drops any built plan. With fusion off the batched
-  /// paths run the plain one-dispatch-per-layer loops — the reference
-  /// the equivalence tests compare the fused paths against.
+  /// containers, and drops any built plan. With fusion off every layer
+  /// runs as its own one-group stage (one dispatch per layer) through
+  /// the same hooks, so results are bitwise unchanged.
   void SetFusionEnabled(bool enabled) override;
   bool fusion_enabled() const { return fusion_enabled_; }
-
-  /// The fusion plan the batched paths execute (built on first use).
-  /// Null when fusion is disabled.
-  FusionPlan* plan();
 
   /// Batched backward writing example j's full flat parameter gradient
   /// (dimension NumParams()) to grads + j·NumParams(). Zeroes the rows
   /// first; returns dL/d(input) with leading batch dimension. This is
   /// the per-example gradient entry point the DP worker clips against.
-  /// Every sublayer's batched backward (like its batched forward) runs
-  /// as one threaded dispatch per microbatch, so a whole worker backward
-  /// pass costs one dispatch per layer.
   Tensor BackwardBatchTo(const Tensor& grad_out, size_t batch, float* grads);
 
   size_t num_layers() const { return layers_.size(); }
@@ -80,41 +76,36 @@ class Sequential : public Layer {
   /// Overwrites all parameters from `in`.
   void SetParamsFrom(const float* in);
 
-  /// Copies all accumulated gradients into `out`.
-  void CopyGradsTo(float* out);
-
-  /// Convenience vector versions.
+  /// Convenience vector version of CopyParamsTo.
   std::vector<float> FlatParams();
-  std::vector<float> FlatGrads();
 
  private:
+  /// The plan the batched passes execute (built on first use).
+  FusionPlan* plan();
+
   std::vector<LayerPtr> layers_;
   // Flat-parameter offset of each sublayer (maintained by Add, so the
-  // per-microbatch BackwardBatch never re-derives or reallocates it).
+  // per-microbatch backward never re-derives or reallocates it).
   std::vector<size_t> param_offsets_;
   size_t total_params_ = 0;
-  // Lazily built execution overlay for the batched paths.
+  // Lazily built execution overlay for the batched passes.
   std::unique_ptr<FusionPlan> plan_;
   bool fusion_enabled_ = true;
 };
 
 /// Residual wrapper: y = x + body(x). Requires body to preserve shape
-/// (the paper's Colorectal CNN uses one residual connection).
+/// (the paper's Colorectal CNN uses one residual connection). The
+/// enclosing plan runs it as its own step: the body's plan, then the
+/// serial skip-add.
 class Residual : public Layer {
  public:
   explicit Residual(std::unique_ptr<Sequential> body);
 
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  Tensor ForwardBatch(const Tensor& x) override;
-  Tensor BackwardBatch(const Tensor& grad_out,
-                       const PerExampleGradSink& sink) override;
   std::vector<ParamView> Params() override;
   void InitParams(SplitRng* rng) override;
   std::string name() const override { return "Residual"; }
 
-  /// Residual is a fusion barrier itself (the skip-add needs the whole
-  /// input), but its body fuses internally; the toggle propagates.
+  Residual* AsResidual() override { return this; }
   void SetFusionEnabled(bool enabled) override;
 
   Sequential* body() { return body_.get(); }

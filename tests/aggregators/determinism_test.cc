@@ -158,21 +158,24 @@ TEST(AggregatorDeterminismTest, DpbrTwoStage) {
 }
 
 TEST(FirstStageDeterminismTest, ApplyVerdictsAndZeroing) {
-  auto uploads = FixedSeedUploads(kN, kDim, 0.3);
+  // The upload arena layout DpbrAggregator hands the filter: one flat
+  // row per upload.
+  std::vector<float> arena;
+  arena.reserve(kN * kDim);
+  for (const auto& u : FixedSeedUploads(kN, kDim, 0.3)) {
+    arena.insert(arena.end(), u.begin(), u.end());
+  }
   // Inject two uploads the filter must reject (norm far outside the
   // window) so the zeroing path runs under every pool size.
-  std::fill(uploads[3].begin(), uploads[3].end(), 2.0f);
-  std::fill(uploads[17].begin(), uploads[17].end(), -1.5f);
+  std::fill_n(arena.begin() + 3 * kDim, kDim, 2.0f);
+  std::fill_n(arena.begin() + 17 * kDim, kDim, -1.5f);
   core::FirstStageFilter filter{core::ProtocolOptions{}};
   ExpectPoolInvariant([&] {
-    auto copy = uploads;
+    std::vector<float> copy = arena;
     core::FirstStageReport report;
-    filter.Apply(&copy, 0.3, &report);
-    // Flatten verdict side effects: the zeroed uploads are the output.
-    std::vector<float> flat;
-    flat.reserve(kN * kDim);
-    for (const auto& u : copy) flat.insert(flat.end(), u.begin(), u.end());
-    return flat;
+    filter.Apply(RowSpan(copy.data(), kN, kDim), 0.3, &report);
+    // The zeroed rows are the verdicts' side effect, and the output.
+    return copy;
   });
 }
 

@@ -127,8 +127,11 @@ TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
   rng.FillGaussian(loud.data(), kDim, 3.0 * kSigmaUp);
   uploads.push_back(loud);
 
+  std::vector<float> arena;
+  for (const auto& u : uploads) arena.insert(arena.end(), u.begin(), u.end());
+  RowSpan rows(arena.data(), uploads.size(), kDim);
   FirstStageReport report;
-  auto verdicts = f.Apply(&uploads, kSigmaUp, &report);
+  auto verdicts = f.Apply(rows, kSigmaUp, &report);
   ASSERT_EQ(verdicts.size(), 3u);
   EXPECT_TRUE(verdicts[0].accepted());
   EXPECT_FALSE(verdicts[1].accepted());
@@ -137,9 +140,9 @@ TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
   EXPECT_EQ(report.accepted, 1u);
   EXPECT_EQ(report.rejected_norm, 2u);
   // Rejected uploads are zeroed in place (Algorithm 2's g ← 0).
-  EXPECT_EQ(ops::Norm(uploads[1]), 0.0);
-  EXPECT_EQ(ops::Norm(uploads[2]), 0.0);
-  EXPECT_GT(ops::Norm(uploads[0]), 0.0);
+  EXPECT_EQ(ops::Norm(rows.Row(1), kDim), 0.0);
+  EXPECT_EQ(ops::Norm(rows.Row(2), kDim), 0.0);
+  EXPECT_GT(ops::Norm(rows.Row(0), kDim), 0.0);
 }
 
 TEST(EnvelopeTest, IntervalsAreOrderedAndContainGaussianQuantiles) {

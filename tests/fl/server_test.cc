@@ -53,6 +53,21 @@ TEST(ServerTest, StepAppliesScaledUpdate) {
   }
 }
 
+// One example's flat parameter gradient: its BackwardBatchTo row from a
+// microbatch of one.
+std::vector<float> ExampleGradient(nn::Sequential* model, const Tensor& x,
+                                   size_t label) {
+  std::vector<size_t> shape = {1};
+  shape.insert(shape.end(), x.shape().begin(), x.shape().end());
+  auto batch = x.Reshape(shape);
+  EXPECT_TRUE(batch.ok());
+  Tensor logits = model->ForwardBatch(batch.value());
+  nn::BatchLossGrad lg = nn::SoftmaxCrossEntropyBatch(logits, {label});
+  std::vector<float> g(model->NumParams());
+  model->BackwardBatchTo(lg.grad_logits, 1, g.data());
+  return g;
+}
+
 TEST(ServerTest, ServerGradientMatchesManualComputation) {
   data::DatasetBundle bundle = SmallBundle();
   data::DatasetView aux(&bundle.val, {0, 1, 2});
@@ -62,17 +77,15 @@ TEST(ServerTest, ServerGradientMatchesManualComputation) {
   auto grad = s.ComputeServerGradient();
   ASSERT_TRUE(grad.ok());
 
-  // Manual: mean per-example gradient at the server params.
+  // Manual: mean per-example gradient at the server params, one
+  // example at a time.
   auto model = f();
   model->SetParamsFrom(s.params().data());
   std::vector<float> acc(s.dim(), 0.0f);
   for (size_t i = 0; i < aux.size(); ++i) {
-    model->ZeroGrad();
-    Tensor logits = model->Forward(aux.ExampleTensor(i));
-    nn::LossGrad lg = nn::SoftmaxCrossEntropy(
-        logits, static_cast<size_t>(aux.LabelAt(i)));
-    model->Backward(lg.grad_logits);
-    std::vector<float> g = model->FlatGrads();
+    std::vector<float> g =
+        ExampleGradient(model.get(), aux.ExampleTensor(i),
+                        static_cast<size_t>(aux.LabelAt(i)));
     ops::Axpy(1.0f, g.data(), acc.data(), acc.size());
   }
   ops::Scale(1.0f / 3.0f, acc.data(), acc.size());

@@ -1,5 +1,6 @@
 // Finite-difference gradient checks: the per-example gradients that feed
-// the DP protocol must be exact for every layer type the model zoo uses.
+// the DP protocol must be exact for every layer type the model zoo uses,
+// on both conv kernels.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +21,19 @@ namespace dpbr {
 namespace nn {
 namespace {
 
+// `x` as a microbatch of one example.
+Tensor BatchOfOne(const Tensor& x) {
+  std::vector<size_t> shape = {1};
+  shape.insert(shape.end(), x.shape().begin(), x.shape().end());
+  auto r = x.Reshape(shape);
+  EXPECT_TRUE(r.ok());
+  return std::move(r).value();
+}
+
 // Loss of `model` on (x, label) at its current parameters.
 double LossAt(Sequential* model, const Tensor& x, size_t label) {
-  Tensor logits = model->Forward(x);
-  return SoftmaxCrossEntropy(logits, label).loss;
+  Tensor logits = model->ForwardBatch(BatchOfOne(x));
+  return SoftmaxCrossEntropyBatch(logits, {label}).losses[0];
 }
 
 // Checks d(loss)/d(params) against central differences on a sample of
@@ -34,12 +44,11 @@ void CheckGradients(std::unique_ptr<Sequential> model, Tensor x,
   SplitRng rng(99);
   model->InitParams(&rng);
 
-  // Analytic gradients.
-  model->ZeroGrad();
-  Tensor logits = model->Forward(x);
-  LossGrad lg = SoftmaxCrossEntropy(logits, label);
-  Tensor dx = model->Backward(lg.grad_logits);
-  std::vector<float> analytic = model->FlatGrads();
+  // Analytic gradients: the example's row from BackwardBatchTo.
+  Tensor logits = model->ForwardBatch(BatchOfOne(x));
+  BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, {label});
+  std::vector<float> analytic(model->NumParams());
+  Tensor dx = model->BackwardBatchTo(lg.grad_logits, 1, analytic.data());
   std::vector<float> params = model->FlatParams();
 
   // Parameter gradients on a deterministic sample of coordinates.
@@ -124,6 +133,14 @@ TEST(GradCheckTest, Conv2dWithPadding) {
   m->Add(std::make_unique<Flatten>());
   m->Add(std::make_unique<Linear>(2 * 5 * 5, 2));
   CheckGradients(std::move(m), RandomInput({1, 5, 5}, 5), 1);
+}
+
+TEST(GradCheckTest, NaiveConv2dWithPadding) {
+  auto m = std::make_unique<Sequential>();
+  m->Add(std::make_unique<Conv2d>(2, 3, 3, 1, Conv2dKernel::kNaive));
+  m->Add(std::make_unique<Flatten>());
+  m->Add(std::make_unique<Linear>(3 * 5 * 5, 2));
+  CheckGradients(std::move(m), RandomInput({2, 5, 5}, 13), 1);
 }
 
 TEST(GradCheckTest, GroupNormAffine) {

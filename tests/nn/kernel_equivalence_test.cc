@@ -1,15 +1,17 @@
-// Contract tests for the GEMM-backed compute layer:
+// Contract tests for the nn compute layer, all through the one
+// execution path (Sequential → FusionPlan → layer hooks):
 //  * the im2col+GEMM Conv2d agrees with the naive reference kernel to
 //    1e-4 relative tolerance (forward, input grads, parameter grads),
-//  * GEMM results are bit-identical under thread pools of size 1, 2 and
-//    hardware concurrency (the determinism contract from PR 1),
-//  * the batched microbatch path reproduces the per-example path
-//    bit-for-bit, including the per-example parameter gradients the DP
-//    protocol clips, and
-//  * the cached-state contract is *checked*: a backward whose path does
-//    not match the last forward (per-example vs batched) dies loudly
-//    instead of consuming stale caches, while legal interleavings
-//    (evaluation between training steps) stay bitwise correct.
+//  * results are bit-identical under thread pools of size 1, 2 and
+//    hardware concurrency, and across SIMD tiers,
+//  * a microbatch of N reproduces its examples run as microbatches of
+//    one bit-for-bit, including the per-example parameter gradients the
+//    DP protocol clips,
+//  * fused and unfused grouping agree bitwise, with the documented
+//    dispatch counts, and
+//  * the cached-state contract is *checked*: a backward with no forward
+//    behind it dies loudly, while legal interleavings (evaluation
+//    between training steps) stay bitwise correct.
 
 #include <gtest/gtest.h>
 
@@ -64,22 +66,92 @@ void ExpectNear(const std::vector<float>& a, const std::vector<float>& b,
   }
 }
 
-// Builds a pair of identically-initialized Conv2d layers, one per kernel.
+// A one-layer model: the layer runs as a one-group stage.
+std::unique_ptr<Sequential> Solo(LayerPtr layer, uint64_t seed = 1) {
+  auto m = std::make_unique<Sequential>();
+  m->Add(std::move(layer));
+  SplitRng rng(seed);
+  m->InitParams(&rng);
+  return m;
+}
+
+std::vector<size_t> WithBatch(size_t n, const std::vector<size_t>& shape) {
+  std::vector<size_t> s;
+  s.push_back(n);
+  for (size_t d : shape) s.push_back(d);
+  return s;
+}
+
+// Example `ex` of a batch-leading tensor, as a microbatch of one.
+Tensor ExampleOf(const Tensor& batch, size_t ex) {
+  size_t feat = batch.size() / batch.dim(0);
+  std::vector<size_t> shape = batch.shape();
+  shape[0] = 1;
+  return Tensor(shape, std::vector<float>(batch.data() + ex * feat,
+                                          batch.data() + (ex + 1) * feat));
+}
+
+// One forward + backward through `model`: output, input gradient and the
+// per-example gradient rows (BackwardBatchTo).
+struct PassRun {
+  Tensor y;
+  Tensor dx;
+  std::vector<float> rows;
+};
+
+PassRun RunPass(Sequential* model, const Tensor& x, const Tensor& gy) {
+  PassRun r;
+  r.y = model->ForwardBatch(x);
+  r.rows.resize(x.dim(0) * model->NumParams());
+  r.dx = model->BackwardBatchTo(gy, x.dim(0), r.rows.data());
+  return r;
+}
+
+// The batch-of-1 == batch-of-N pin on the single path: running `xb` as
+// one microbatch must equal running each example as a microbatch of one,
+// bitwise — output, input gradient and the example's gradient row.
+// `gy_seed` draws the upstream gradient.
+void ExpectBatchEqualsSingles(Sequential* model, const Tensor& xb,
+                              uint64_t gy_seed) {
+  size_t n = xb.dim(0);
+  Tensor yb = model->ForwardBatch(xb);
+  Tensor gyb = RandomTensor(yb.shape(), gy_seed);
+  PassRun all = RunPass(model, xb, gyb);
+  size_t dim = model->NumParams();
+  size_t in_stride = xb.size() / n;
+  size_t out_stride = all.y.size() / n;
+  for (size_t ex = 0; ex < n; ++ex) {
+    PassRun one = RunPass(model, ExampleOf(xb, ex), ExampleOf(gyb, ex));
+    for (size_t i = 0; i < out_stride; ++i) {
+      ASSERT_EQ(all.y[ex * out_stride + i], one.y[i])
+          << "batch " << n << " ex " << ex << " y[" << i << "]";
+    }
+    for (size_t i = 0; i < in_stride; ++i) {
+      ASSERT_EQ(all.dx[ex * in_stride + i], one.dx[i])
+          << "batch " << n << " ex " << ex << " dx[" << i << "]";
+    }
+    for (size_t i = 0; i < dim; ++i) {
+      ASSERT_EQ(all.rows[ex * dim + i], one.rows[i])
+          << "batch " << n << " ex " << ex << " param " << i;
+    }
+  }
+}
+
+// A pair of identically-initialized one-conv models, one per kernel.
 struct ConvPair {
-  std::unique_ptr<Conv2d> gemm;
-  std::unique_ptr<Conv2d> naive;
+  std::unique_ptr<Sequential> gemm;
+  std::unique_ptr<Sequential> naive;
 };
 
 ConvPair MakePair(size_t in_ch, size_t out_ch, size_t k, size_t pad,
                   uint64_t seed) {
   ConvPair p;
-  p.gemm = std::make_unique<Conv2d>(in_ch, out_ch, k, pad,
-                                    Conv2dKernel::kGemm);
-  p.naive = std::make_unique<Conv2d>(in_ch, out_ch, k, pad,
-                                     Conv2dKernel::kNaive);
-  SplitRng rng_a(seed), rng_b(seed);
-  p.gemm->InitParams(&rng_a);
-  p.naive->InitParams(&rng_b);
+  p.gemm = Solo(std::make_unique<Conv2d>(in_ch, out_ch, k, pad,
+                                         Conv2dKernel::kGemm),
+                seed);
+  p.naive = Solo(std::make_unique<Conv2d>(in_ch, out_ch, k, pad,
+                                          Conv2dKernel::kNaive),
+                 seed);
   return p;
 }
 
@@ -98,108 +170,67 @@ const ConvCase kCases[] = {
     {1, 2, 7, 3, 3, 3},  // kernel overhangs the whole padded input
 };
 
+// --- GEMM conv vs the naive reference kernel (the independent oracle):
+// forward, input gradients and parameter-gradient rows agree to 1e-4.
+
 TEST(KernelEquivalenceTest, ConvForwardMatchesNaive) {
   for (const ConvCase& c : kCases) {
     ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 11);
-    Tensor x = RandomTensor({c.in_ch, c.h, c.w}, 21);
-    ExpectNear(p.gemm->Forward(x), p.naive->Forward(x), 1e-4);
+    Tensor x = RandomTensor({1, c.in_ch, c.h, c.w}, 21);
+    ExpectNear(p.gemm->ForwardBatch(x), p.naive->ForwardBatch(x), 1e-4);
   }
 }
 
 TEST(KernelEquivalenceTest, ConvBackwardMatchesNaive) {
-  for (const ConvCase& c : kCases) {
-    ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 13);
-    Tensor x = RandomTensor({c.in_ch, c.h, c.w}, 23);
-    Tensor yg = p.gemm->Forward(x);
-    Tensor yn = p.naive->Forward(x);
-    Tensor gy = RandomTensor(yg.shape(), 31);
-    p.gemm->ZeroGrad();
-    p.naive->ZeroGrad();
-    Tensor dxg = p.gemm->Backward(gy);
-    Tensor dxn = p.naive->Backward(gy);
-    ExpectNear(dxg, dxn, 1e-4);
-    std::vector<ParamView> pg = p.gemm->Params();
-    std::vector<ParamView> pn = p.naive->Params();
-    ASSERT_EQ(pg.size(), pn.size());
-    for (size_t i = 0; i < pg.size(); ++i) {
-      ASSERT_EQ(pg[i].size, pn[i].size);
-      ExpectNear(std::vector<float>(pg[i].grad, pg[i].grad + pg[i].size),
-                 std::vector<float>(pn[i].grad, pn[i].grad + pn[i].size),
-                 1e-4);
+  for (size_t batch : {size_t{1}, size_t{3}}) {
+    for (const ConvCase& c : kCases) {
+      ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 13);
+      Tensor x = RandomTensor({batch, c.in_ch, c.h, c.w}, 23 + batch);
+      Tensor gy = RandomTensor(p.gemm->ForwardBatch(x).shape(), 31 + batch);
+      PassRun g = RunPass(p.gemm.get(), x, gy);
+      PassRun n = RunPass(p.naive.get(), x, gy);
+      ExpectNear(g.y, n.y, 1e-4);
+      ExpectNear(g.dx, n.dx, 1e-4);
+      ExpectNear(g.rows, n.rows, 1e-4);
     }
   }
 }
 
-// Runs forward+backward through a GEMM conv under an explicit pool size
-// and returns (y, dx, flat parameter grads).
-struct ConvRun {
-  Tensor y;
-  Tensor dx;
-  std::vector<float> grads;
-};
-
-ConvRun RunUnderPool(size_t pool_size, const ConvCase& c) {
+// Runs forward+backward through a GEMM conv under an explicit pool size.
+PassRun RunUnderPool(size_t pool_size, const ConvCase& c, size_t batch) {
   ThreadPool pool(pool_size);
   ScopedPoolOverride override_pool(&pool);
   ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 17);
-  Tensor x = RandomTensor({c.in_ch, c.h, c.w}, 19);
-  ConvRun r;
-  r.y = p.gemm->Forward(x);
-  Tensor gy = RandomTensor(r.y.shape(), 29);
-  p.gemm->ZeroGrad();
-  r.dx = p.gemm->Backward(gy);
-  for (const ParamView& v : p.gemm->Params()) {
-    r.grads.insert(r.grads.end(), v.grad, v.grad + v.size);
-  }
-  return r;
+  Tensor x = RandomTensor({batch, c.in_ch, c.h, c.w}, 19);
+  Tensor gy = RandomTensor(p.gemm->ForwardBatch(x).shape(), 29);
+  return RunPass(p.gemm.get(), x, gy);
 }
 
 TEST(KernelEquivalenceTest, GemmBitIdenticalAcrossPoolSizes) {
   size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
-  for (const ConvCase& c : kCases) {
-    ConvRun r1 = RunUnderPool(1, c);
-    for (size_t threads : {size_t{2}, hw}) {
-      ConvRun rn = RunUnderPool(threads, c);
-      ASSERT_EQ(r1.y.shape(), rn.y.shape());
-      for (size_t i = 0; i < r1.y.size(); ++i) {
-        ASSERT_EQ(r1.y[i], rn.y[i]) << "pool " << threads << " y[" << i << "]";
+  for (size_t batch : {size_t{1}, size_t{7}}) {
+    for (const ConvCase& c : kCases) {
+      PassRun r1 = RunUnderPool(1, c, batch);
+      for (size_t threads : {size_t{2}, hw}) {
+        PassRun rn = RunUnderPool(threads, c, batch);
+        ASSERT_EQ(r1.y.shape(), rn.y.shape());
+        for (size_t i = 0; i < r1.y.size(); ++i) {
+          ASSERT_EQ(r1.y[i], rn.y[i])
+              << "pool " << threads << " y[" << i << "]";
+        }
+        for (size_t i = 0; i < r1.dx.size(); ++i) {
+          ASSERT_EQ(r1.dx[i], rn.dx[i])
+              << "pool " << threads << " dx[" << i << "]";
+        }
+        ASSERT_EQ(r1.rows, rn.rows) << "pool " << threads;
       }
-      for (size_t i = 0; i < r1.dx.size(); ++i) {
-        ASSERT_EQ(r1.dx[i], rn.dx[i])
-            << "pool " << threads << " dx[" << i << "]";
-      }
-      ASSERT_EQ(r1.grads, rn.grads) << "pool " << threads;
     }
   }
 }
 
-// One loss backward pass through a model, per-example path: returns the
-// logits and each example's flat gradient.
-struct PerExampleRun {
-  std::vector<Tensor> logits;
-  std::vector<std::vector<float>> grads;
-};
-
-PerExampleRun RunPerExample(Sequential* model, const Tensor& batch,
-                            const std::vector<size_t>& labels,
-                            const std::vector<size_t>& example_shape) {
-  size_t n = batch.dim(0);
-  size_t feat = batch.size() / n;
-  PerExampleRun r;
-  for (size_t ex = 0; ex < n; ++ex) {
-    Tensor x(example_shape,
-             std::vector<float>(batch.data() + ex * feat,
-                                batch.data() + (ex + 1) * feat));
-    model->ZeroGrad();
-    Tensor logits = model->Forward(x);
-    LossGrad lg = SoftmaxCrossEntropy(logits, labels[ex]);
-    model->Backward(lg.grad_logits);
-    r.logits.push_back(std::move(logits));
-    r.grads.push_back(model->FlatGrads());
-  }
-  return r;
-}
-
+// Whole-model batch-of-1 == batch-of-N pin: the logits and each
+// example's gradient row from one N-example local step equal those of N
+// one-example steps, bitwise.
 void CheckBatchedMatchesPerExample(std::unique_ptr<Sequential> model,
                                    std::vector<size_t> example_shape,
                                    size_t num_classes, uint64_t seed,
@@ -207,13 +238,10 @@ void CheckBatchedMatchesPerExample(std::unique_ptr<Sequential> model,
   if (!fused) model->SetFusionEnabled(false);
   SplitRng rng(seed);
   model->InitParams(&rng);
-  // N=1 exercises the degenerate microbatch, 3 and 7 leave ragged
-  // parallel blocks in the batched dispatches.
-  for (size_t batch_n : {size_t{1}, size_t{3}, size_t{7}}) {
-    std::vector<size_t> batch_shape;
-    batch_shape.push_back(batch_n);
-    for (size_t d : example_shape) batch_shape.push_back(d);
-    Tensor batch = RandomTensor(batch_shape, seed + 1 + batch_n);
+  // 3 and 7 leave ragged parallel blocks in the stage dispatches.
+  for (size_t batch_n : {size_t{3}, size_t{7}}) {
+    Tensor batch = RandomTensor(WithBatch(batch_n, example_shape),
+                                seed + 1 + batch_n);
     std::vector<size_t> labels(batch_n);
     for (size_t ex = 0; ex < batch_n; ++ex) labels[ex] = ex % num_classes;
 
@@ -224,41 +252,38 @@ void CheckBatchedMatchesPerExample(std::unique_ptr<Sequential> model,
     std::vector<float> grads(batch_n * dim);
     model->BackwardBatchTo(lg.grad_logits, batch_n, grads.data());
 
-    PerExampleRun ref =
-        RunPerExample(model.get(), batch, labels, example_shape);
     size_t classes = logits.dim(1);
     for (size_t ex = 0; ex < batch_n; ++ex) {
+      Tensor one_logits = model->ForwardBatch(ExampleOf(batch, ex));
+      BatchLossGrad one_lg =
+          SoftmaxCrossEntropyBatch(one_logits, {labels[ex]});
+      std::vector<float> one_grads(dim);
+      model->BackwardBatchTo(one_lg.grad_logits, 1, one_grads.data());
       for (size_t c = 0; c < classes; ++c) {
-        ASSERT_EQ(logits[ex * classes + c], ref.logits[ex][c])
+        ASSERT_EQ(logits[ex * classes + c], one_logits[c])
             << "batch " << batch_n << " example " << ex << " class " << c;
       }
       for (size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(grads[ex * dim + i], ref.grads[ex][i])
+        ASSERT_EQ(grads[ex * dim + i], one_grads[i])
             << "batch " << batch_n << " example " << ex << " param " << i;
       }
     }
   }
 }
 
-// --- Fused batch-conv forward: ForwardBatch runs one (OC × N·OHW) GEMM
-// over concatenated im2col panels. Per output element the accumulation
-// order is unchanged, so the fused path must be bitwise equal to looping
-// the single-example forward — including odd batch sizes that leave a
-// ragged panel — and to the naive batch kernel within 1e-4.
+// --- One-layer stages: each layer's microbatch equals its examples run
+// one at a time — including odd batch sizes that leave ragged blocks —
+// at every pool size.
 
 TEST(KernelEquivalenceTest, FusedBatchForwardMatchesPerExampleBitwise) {
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
+  for (size_t batch : {size_t{3}, size_t{7}}) {
     for (const ConvCase& c : kCases) {
       ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 53);
       Tensor xb = RandomTensor({batch, c.in_ch, c.h, c.w}, 59 + batch);
       Tensor yb = p.gemm->ForwardBatch(xb);
-      size_t feat = c.in_ch * c.h * c.w;
       size_t out_stride = yb.size() / batch;
       for (size_t ex = 0; ex < batch; ++ex) {
-        Tensor x({c.in_ch, c.h, c.w},
-                 std::vector<float>(xb.data() + ex * feat,
-                                    xb.data() + (ex + 1) * feat));
-        Tensor y = p.gemm->Forward(x);
+        Tensor y = p.gemm->ForwardBatch(ExampleOf(xb, ex));
         ASSERT_EQ(y.size(), out_stride);
         for (size_t i = 0; i < y.size(); ++i) {
           ASSERT_EQ(yb[ex * out_stride + i], y[i])
@@ -299,106 +324,43 @@ TEST(KernelEquivalenceTest, FusedBatchForwardPoolInvariant) {
   }
 }
 
-// --- Batched backward: BackwardBatch runs the whole microbatch — dW/db
-// rows into the PerExampleGradSink, dX through col2im — as one batched
-// dispatch (GemmBatchedNT + embedded GemmBatchedTN). Per-element
-// accumulation order is unchanged, so it must be bitwise equal to the
-// per-example Forward/Backward reference at N = 1, 3, 7, with every
-// example's sink row exactly the gradient the per-example path
-// accumulates.
-
 TEST(KernelEquivalenceTest, ConvBackwardBatchMatchesPerExampleBitwise) {
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
+  for (size_t batch : {size_t{3}, size_t{7}}) {
     for (const ConvCase& c : kCases) {
       ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 193);
-      Tensor xb = RandomTensor({batch, c.in_ch, c.h, c.w}, 197 + batch);
-      Tensor yb = p.gemm->ForwardBatch(xb);
-      Tensor gyb = RandomTensor(yb.shape(), 199 + batch);
-      size_t dim = p.gemm->NumParams();
-      std::vector<float> sink(batch * dim, 0.0f);
-      Tensor dxb = p.gemm->BackwardBatch(gyb, {sink.data(), dim, 0});
-      size_t in_stride = c.in_ch * c.h * c.w;
-      size_t out_stride = yb.size() / batch;
-      for (size_t ex = 0; ex < batch; ++ex) {
-        Tensor x({c.in_ch, c.h, c.w},
-                 std::vector<float>(xb.data() + ex * in_stride,
-                                    xb.data() + (ex + 1) * in_stride));
-        Tensor gy({c.out_ch, yb.dim(2), yb.dim(3)},
-                  std::vector<float>(gyb.data() + ex * out_stride,
-                                     gyb.data() + (ex + 1) * out_stride));
-        p.gemm->ZeroGrad();
-        p.gemm->Forward(x);
-        Tensor dx = p.gemm->Backward(gy);
-        std::vector<float> ex_grads;
-        for (const ParamView& v : p.gemm->Params()) {
-          ex_grads.insert(ex_grads.end(), v.grad, v.grad + v.size);
-        }
-        ASSERT_EQ(ex_grads.size(), dim);
-        for (size_t i = 0; i < in_stride; ++i) {
-          ASSERT_EQ(dxb[ex * in_stride + i], dx[i])
-              << "batch " << batch << " ex " << ex << " dx[" << i << "]";
-        }
-        for (size_t i = 0; i < dim; ++i) {
-          ASSERT_EQ(sink[ex * dim + i], ex_grads[i])
-              << "batch " << batch << " ex " << ex << " param " << i;
-        }
-      }
+      ExpectBatchEqualsSingles(
+          p.gemm.get(),
+          RandomTensor({batch, c.in_ch, c.h, c.w}, 197 + batch),
+          199 + batch);
+      ExpectBatchEqualsSingles(
+          p.naive.get(),
+          RandomTensor({batch, c.in_ch, c.h, c.w}, 197 + batch),
+          199 + batch);
     }
   }
 }
 
 TEST(KernelEquivalenceTest, LinearBackwardBatchMatchesPerExampleBitwise) {
-  constexpr size_t kIn = 13, kOut = 5;
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
-    Linear linear(kIn, kOut);
-    SplitRng rng(211);
-    linear.InitParams(&rng);
-    Tensor xb = RandomTensor({batch, kIn}, 223 + batch);
-    Tensor gyb = RandomTensor({batch, kOut}, 227 + batch);
-    linear.ForwardBatch(xb);
-    size_t dim = linear.NumParams();
-    std::vector<float> sink(batch * dim, 0.0f);
-    Tensor dxb = linear.BackwardBatch(gyb, {sink.data(), dim, 0});
-    for (size_t ex = 0; ex < batch; ++ex) {
-      Tensor x({kIn}, std::vector<float>(xb.data() + ex * kIn,
-                                         xb.data() + (ex + 1) * kIn));
-      Tensor gy({kOut}, std::vector<float>(gyb.data() + ex * kOut,
-                                           gyb.data() + (ex + 1) * kOut));
-      linear.ZeroGrad();
-      linear.Forward(x);
-      Tensor dx = linear.Backward(gy);
-      std::vector<float> ex_grads;
-      for (const ParamView& v : linear.Params()) {
-        ex_grads.insert(ex_grads.end(), v.grad, v.grad + v.size);
-      }
-      for (size_t i = 0; i < kIn; ++i) {
-        ASSERT_EQ(dxb[ex * kIn + i], dx[i])
-            << "batch " << batch << " ex " << ex << " dx[" << i << "]";
-      }
-      for (size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(sink[ex * dim + i], ex_grads[i])
-            << "batch " << batch << " ex " << ex << " param " << i;
-      }
-    }
+  for (size_t batch : {size_t{3}, size_t{7}}) {
+    std::unique_ptr<Sequential> m = Solo(std::make_unique<Linear>(13, 5), 211);
+    ExpectBatchEqualsSingles(m.get(), RandomTensor({batch, 13}, 223 + batch),
+                             227 + batch);
   }
 }
 
 TEST(KernelEquivalenceTest, ConvBackwardBatchPoolInvariant) {
   size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
   for (const ConvCase& c : kCases) {
-    std::vector<std::vector<float>> outs;  // dx ++ sink per pool size
+    std::vector<std::vector<float>> outs;  // dx ++ rows per pool size
     for (size_t threads : {size_t{1}, size_t{2}, hw}) {
       ThreadPool pool(threads);
       ScopedPoolOverride override_pool(&pool);
       ConvPair p = MakePair(c.in_ch, c.out_ch, c.k, c.pad, 229);
       Tensor xb = RandomTensor({7, c.in_ch, c.h, c.w}, 233);
-      Tensor yb = p.gemm->ForwardBatch(xb);
-      Tensor gyb = RandomTensor(yb.shape(), 239);
-      size_t dim = p.gemm->NumParams();
-      std::vector<float> sink(7 * dim, 0.0f);
-      Tensor dxb = p.gemm->BackwardBatch(gyb, {sink.data(), dim, 0});
-      std::vector<float> all(dxb.data(), dxb.data() + dxb.size());
-      all.insert(all.end(), sink.begin(), sink.end());
+      Tensor gyb = RandomTensor(p.gemm->ForwardBatch(xb).shape(), 239);
+      PassRun r = RunPass(p.gemm.get(), xb, gyb);
+      std::vector<float> all(r.dx.data(), r.dx.data() + r.dx.size());
+      all.insert(all.end(), r.rows.begin(), r.rows.end());
       outs.push_back(std::move(all));
     }
     for (size_t i = 1; i < outs.size(); ++i) {
@@ -408,46 +370,37 @@ TEST(KernelEquivalenceTest, ConvBackwardBatchPoolInvariant) {
 }
 
 // The single-dispatch contract, proven rather than asserted in prose:
-// with a multi-thread pool and a multi-example microbatch, each batched
-// forward and backward must fan work out to the pool exactly once.
+// with a multi-thread pool and a multi-example microbatch, a one-layer
+// stage fans work out to the pool exactly once per direction.
 TEST(KernelEquivalenceTest, ConvAndLinearBatchedPassesAreOneDispatch) {
   ThreadPool pool(4);
   ScopedPoolOverride override_pool(&pool);
-  // Larger than the GEMM row block (8) so even the row-split forward
-  // GEMMs genuinely fan out instead of collapsing to the inline path.
   constexpr size_t kN = 9;
-
-  Conv2d conv(3, 8, 3, 1);
-  SplitRng rng(241);
-  conv.InitParams(&rng);
-  Tensor xb = RandomTensor({kN, 3, 9, 9}, 251);
-  uint64_t before = ParallelDispatchCount();
-  Tensor yb = conv.ForwardBatch(xb);
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "conv forward";
-  Tensor gyb = RandomTensor(yb.shape(), 257);
-  size_t dim = conv.NumParams();
-  std::vector<float> sink(kN * dim, 0.0f);
-  before = ParallelDispatchCount();
-  conv.BackwardBatch(gyb, {sink.data(), dim, 0});
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "conv backward";
-
-  Linear linear(48, 10);
-  linear.InitParams(&rng);
-  Tensor lx = RandomTensor({kN, 48}, 263);
-  before = ParallelDispatchCount();
-  linear.ForwardBatch(lx);
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "linear forward";
-  Tensor lgy = RandomTensor({kN, 10}, 269);
-  size_t ldim = linear.NumParams();
-  std::vector<float> lsink(kN * ldim, 0.0f);
-  before = ParallelDispatchCount();
-  linear.BackwardBatch(lgy, {lsink.data(), ldim, 0});
-  EXPECT_EQ(ParallelDispatchCount() - before, 1u) << "linear backward";
+  struct Case {
+    const char* name;
+    std::unique_ptr<Sequential> model;
+    std::vector<size_t> ex_shape;
+  };
+  Case cases[] = {
+      {"conv", Solo(std::make_unique<Conv2d>(3, 8, 3, 1), 241), {3, 9, 9}},
+      {"linear", Solo(std::make_unique<Linear>(48, 10), 241), {48}},
+  };
+  for (Case& c : cases) {
+    Tensor xb = RandomTensor(WithBatch(kN, c.ex_shape), 251);
+    uint64_t before = ParallelDispatchCount();
+    Tensor yb = c.model->ForwardBatch(xb);
+    EXPECT_EQ(ParallelDispatchCount() - before, 1u) << c.name << " forward";
+    Tensor gyb = RandomTensor(yb.shape(), 257);
+    std::vector<float> rows(kN * c.model->NumParams());
+    before = ParallelDispatchCount();
+    c.model->BackwardBatchTo(gyb, kN, rows.data());
+    EXPECT_EQ(ParallelDispatchCount() - before, 1u) << c.name << " backward";
+  }
 }
 
-// Fusion is on by default, so these three pin fused == per-example at
-// N = 1, 3, 7; the Unfused* variants below pin unfused == per-example,
-// and the stage-fusion section pins fused == unfused directly.
+// Fusion is on by default, so these three pin the fused grouping; the
+// Unfused* variants pin the one-stage-per-layer grouping, and the
+// stage-fusion section pins fused == unfused directly.
 
 TEST(KernelEquivalenceTest, BatchedCnnMatchesPerExampleBitwise) {
   CheckBatchedMatchesPerExample(MakeCnn(1, 8, 3, 4), {1, 8, 8}, 4, 41);
@@ -477,13 +430,13 @@ TEST(KernelEquivalenceTest, UnfusedBatchedMlpMatchesPerExampleBitwise) {
                                 /*fused=*/false);
 }
 
-// --- Stage fusion (nn/fusion.h): Sequential's batched paths fold
-// Conv2d→ELU→GroupNorm and Linear→activation runs into single-dispatch
-// FusedStage nodes. The fused hooks run the unfused batched paths' exact
-// per-example kernel sequences, so fused == unfused == per-example
-// bitwise on every input, at every pool size, on every SIMD tier — and
-// the dispatch-count gates below prove the fusion actually collapses the
-// pool barriers instead of merely claiming to.
+// --- Stage fusion (nn/fusion.h): with fusion on, the plan folds every
+// run of layers between residual boundaries into one single-dispatch
+// stage; with fusion off, each layer is its own stage. Both groupings
+// run the same hooks, so fused == unfused bitwise on every input, at
+// every pool size, on every SIMD tier — and the dispatch-count gates
+// below prove the fusion actually collapses the pool barriers instead
+// of merely claiming to.
 
 struct FusionModelCase {
   const char* name;
@@ -491,9 +444,6 @@ struct FusionModelCase {
   std::vector<size_t> example_shape;
   size_t num_classes;
 };
-
-// Defined in the cached-state section below.
-std::vector<size_t> WithBatch(size_t n, const std::vector<size_t>& shape);
 
 std::vector<FusionModelCase> FusionModelCases() {
   return {
@@ -605,12 +555,12 @@ StepDispatchCounts CountStepDispatches(Sequential* model, const Tensor& batch,
   return c;
 }
 
-// The tentpole contract, proven by counter: the fused CNN local step is
-// exactly 3 dispatches per microbatch per direction (one per fused
-// conv-stage run, one for the pool barrier, one for the linear tail;
-// Flatten is free), the MLP is 1, and the residual CNN is 5 (its two
-// extra conv stages are separated by the Residual barrier). The unfused
-// paths must be strictly more expensive.
+// The dispatch-count guarantee, proven by counter: one dispatch per
+// stage per direction. The fused CNN and MLP local steps are one stage
+// each (pooling and Flatten run inside it); the residual CNN is 3 — the
+// stage before the Residual, the Residual's body, and the stage after
+// it (the skip-add is serial). Unfused grouping must be strictly more
+// expensive.
 TEST(KernelEquivalenceTest, FusedLocalStepDispatchCounts) {
   ThreadPool pool(4);
   ScopedPoolOverride override_pool(&pool);
@@ -620,8 +570,8 @@ TEST(KernelEquivalenceTest, FusedLocalStepDispatchCounts) {
     uint64_t forward, backward;
   };
   const Expect kExpect[] = {
-      {"cnn", 3, 3},
-      {"residual_cnn", 5, 5},
+      {"cnn", 1, 1},
+      {"residual_cnn", 3, 3},
       {"mlp", 1, 1},
   };
   for (const FusionModelCase& mc : FusionModelCases()) {
@@ -673,108 +623,39 @@ TEST(KernelEquivalenceTest, WorkspaceReusesAndGrowsBuffers) {
   EXPECT_EQ(ws.Get(0, 64)[0], 7.0f);  // float slot 0 untouched
 }
 
-// --- Batched GroupNorm / pooling / activation kernels: each layer runs
-// its microbatch as one threaded dispatch, and must stay bitwise equal
-// to the per-example reference path at N = 1, 3, 7.
+// --- One-layer GroupNorm / pooling / activation / flatten stages: each
+// must equal its examples run one at a time, bitwise, at N = 3, 7.
 
 TEST(KernelEquivalenceTest, GroupNormBatchedMatchesPerExampleBitwise) {
-  constexpr size_t kC = 6, kH = 5, kW = 4;
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
+  for (size_t batch : {size_t{3}, size_t{7}}) {
     // affine=true so the per-example sink rows are exercised too.
-    GroupNorm gn(2, kC, 1e-5, /*affine=*/true);
-    SplitRng rng(101);
-    gn.InitParams(&rng);
-    Tensor xb = RandomTensor({batch, kC, kH, kW}, 103 + batch);
-    Tensor gyb = RandomTensor({batch, kC, kH, kW}, 107 + batch);
-    Tensor yb = gn.ForwardBatch(xb);
-    size_t dim = gn.NumParams();
-    std::vector<float> sink(batch * dim, 0.0f);
-    Tensor dxb = gn.BackwardBatch(gyb, {sink.data(), dim, 0});
-    size_t stride = kC * kH * kW;
-    for (size_t ex = 0; ex < batch; ++ex) {
-      Tensor x({kC, kH, kW},
-               std::vector<float>(xb.data() + ex * stride,
-                                  xb.data() + (ex + 1) * stride));
-      Tensor gy({kC, kH, kW},
-                std::vector<float>(gyb.data() + ex * stride,
-                                   gyb.data() + (ex + 1) * stride));
-      gn.ZeroGrad();
-      Tensor y = gn.Forward(x);
-      Tensor dx = gn.Backward(gy);
-      std::vector<float> ex_grads;
-      for (const ParamView& v : gn.Params()) {
-        ex_grads.insert(ex_grads.end(), v.grad, v.grad + v.size);
-      }
-      for (size_t i = 0; i < stride; ++i) {
-        ASSERT_EQ(yb[ex * stride + i], y[i]) << "ex " << ex << " y[" << i
-                                             << "]";
-        ASSERT_EQ(dxb[ex * stride + i], dx[i])
-            << "ex " << ex << " dx[" << i << "]";
-      }
-      for (size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(sink[ex * dim + i], ex_grads[i])
-            << "ex " << ex << " param " << i;
-      }
-    }
+    std::unique_ptr<Sequential> m =
+        Solo(std::make_unique<GroupNorm>(2, 6, 1e-5, /*affine=*/true), 101);
+    ExpectBatchEqualsSingles(m.get(), RandomTensor({batch, 6, 5, 4}, 103),
+                             107 + batch);
   }
 }
 
 TEST(KernelEquivalenceTest, PoolBatchedMatchesPerExampleBitwise) {
-  constexpr size_t kC = 5, kH = 9, kW = 7;
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
-    AdaptiveAvgPool2d pool(4, 4);
-    Tensor xb = RandomTensor({batch, kC, kH, kW}, 109 + batch);
-    Tensor gyb = RandomTensor({batch, kC, 4, 4}, 113 + batch);
-    Tensor yb = pool.ForwardBatch(xb);
-    Tensor dxb = pool.BackwardBatch(gyb, {});
-    size_t in_stride = kC * kH * kW;
-    size_t out_stride = kC * 4 * 4;
-    for (size_t ex = 0; ex < batch; ++ex) {
-      Tensor x({kC, kH, kW},
-               std::vector<float>(xb.data() + ex * in_stride,
-                                  xb.data() + (ex + 1) * in_stride));
-      Tensor gy({kC, 4, 4},
-                std::vector<float>(gyb.data() + ex * out_stride,
-                                   gyb.data() + (ex + 1) * out_stride));
-      Tensor y = pool.Forward(x);
-      Tensor dx = pool.Backward(gy);
-      for (size_t i = 0; i < out_stride; ++i) {
-        ASSERT_EQ(yb[ex * out_stride + i], y[i]) << "ex " << ex;
-      }
-      for (size_t i = 0; i < in_stride; ++i) {
-        ASSERT_EQ(dxb[ex * in_stride + i], dx[i]) << "ex " << ex;
-      }
-    }
+  for (size_t batch : {size_t{3}, size_t{7}}) {
+    std::unique_ptr<Sequential> m =
+        Solo(std::make_unique<AdaptiveAvgPool2d>(4, 4));
+    ExpectBatchEqualsSingles(m.get(), RandomTensor({batch, 5, 9, 7}, 109),
+                             113 + batch);
   }
 }
 
 TEST(KernelEquivalenceTest, ActivationBatchedMatchesPerExampleBitwise) {
-  constexpr size_t kFeat = 300;  // not a multiple of the dispatch block
-  for (size_t batch : {size_t{1}, size_t{3}, size_t{7}}) {
-    Elu elu;
-    Relu relu;
+  constexpr size_t kFeat = 300;
+  for (size_t batch : {size_t{3}, size_t{7}}) {
     Tensor xb = RandomTensor({batch, kFeat}, 127 + batch);
-    Tensor gyb = RandomTensor({batch, kFeat}, 131 + batch);
-    Tensor ye = elu.ForwardBatch(xb);
-    Tensor dxe = elu.BackwardBatch(gyb, {});
-    Tensor yr = relu.ForwardBatch(xb);
-    Tensor dxr = relu.BackwardBatch(gyb, {});
-    for (size_t ex = 0; ex < batch; ++ex) {
-      Tensor x({kFeat}, std::vector<float>(xb.data() + ex * kFeat,
-                                           xb.data() + (ex + 1) * kFeat));
-      Tensor gy({kFeat}, std::vector<float>(gyb.data() + ex * kFeat,
-                                            gyb.data() + (ex + 1) * kFeat));
-      Tensor y1 = elu.Forward(x);
-      Tensor d1 = elu.Backward(gy);
-      Tensor y2 = relu.Forward(x);
-      Tensor d2 = relu.Backward(gy);
-      for (size_t i = 0; i < kFeat; ++i) {
-        ASSERT_EQ(ye[ex * kFeat + i], y1[i]) << "elu ex " << ex;
-        ASSERT_EQ(dxe[ex * kFeat + i], d1[i]) << "elu ex " << ex;
-        ASSERT_EQ(yr[ex * kFeat + i], y2[i]) << "relu ex " << ex;
-        ASSERT_EQ(dxr[ex * kFeat + i], d2[i]) << "relu ex " << ex;
-      }
-    }
+    std::unique_ptr<Sequential> elu = Solo(std::make_unique<Elu>());
+    std::unique_ptr<Sequential> relu = Solo(std::make_unique<Relu>());
+    std::unique_ptr<Sequential> flat = Solo(std::make_unique<Flatten>());
+    ExpectBatchEqualsSingles(elu.get(), xb, 131 + batch);
+    ExpectBatchEqualsSingles(relu.get(), xb, 131 + batch);
+    ExpectBatchEqualsSingles(flat.get(), RandomTensor({batch, 3, 4, 5}, 137),
+                             139 + batch);
   }
 }
 
@@ -850,8 +731,9 @@ TEST(KernelEquivalenceTest, BatchedModelPathPoolInvariant) {
 // --- Cached-state contract: legal interleavings stay bitwise correct...
 
 // Simulates Server::EvaluateAccuracy between two worker training steps
-// on one model instance: batched step, per-example pass, batched step.
-// Every result must equal a never-interleaved run of the same pass.
+// on one model instance: a 3-example step, a one-example step, then the
+// 3-example step again. Every result must equal a never-interleaved run
+// of the same pass.
 TEST(KernelEquivalenceTest, InterleavedPerExampleAndBatchedStayBitwise) {
   auto make_model = [] {
     std::unique_ptr<Sequential> model = MakeCnn(1, 8, 3, 4);
@@ -861,144 +743,48 @@ TEST(KernelEquivalenceTest, InterleavedPerExampleAndBatchedStayBitwise) {
   };
   constexpr size_t kN = 3;
   Tensor batch = RandomTensor({kN, 1, 8, 8}, 151);
+  Tensor x0 = ExampleOf(batch, 0);
   std::vector<size_t> labels = {0, 1, 2};
-  Tensor x0({1, 8, 8}, std::vector<float>(batch.data(), batch.data() + 64));
 
-  auto batched_pass = [&](Sequential* model) {
-    BatchedModelRun r;
-    r.logits = model->ForwardBatch(batch);
-    BatchLossGrad lg = SoftmaxCrossEntropyBatch(r.logits, labels);
-    r.grads.resize(kN * model->NumParams());
-    model->BackwardBatchTo(lg.grad_logits, kN, r.grads.data());
-    return r;
-  };
-  auto per_example_pass = [&](Sequential* model) {
-    model->ZeroGrad();
-    Tensor logits = model->Forward(x0);
-    LossGrad lg = SoftmaxCrossEntropy(logits, labels[0]);
-    model->Backward(lg.grad_logits);
-    std::vector<float> grads = model->FlatGrads();
-    std::vector<float> out(logits.data(), logits.data() + logits.size());
-    out.insert(out.end(), grads.begin(), grads.end());
+  auto pass = [](Sequential* model, const Tensor& x,
+                 const std::vector<size_t>& y) {
+    Tensor logits = model->ForwardBatch(x);
+    BatchLossGrad lg = SoftmaxCrossEntropyBatch(logits, y);
+    std::vector<float> out(x.dim(0) * model->NumParams());
+    model->BackwardBatchTo(lg.grad_logits, x.dim(0), out.data());
+    out.insert(out.end(), logits.data(), logits.data() + logits.size());
     return out;
   };
 
   // Reference runs, one model per pass (no interleaving anywhere).
   std::unique_ptr<Sequential> ref_batched = make_model();
-  BatchedModelRun want_batched = batched_pass(ref_batched.get());
-  std::unique_ptr<Sequential> ref_per_ex = make_model();
-  std::vector<float> want_per_ex = per_example_pass(ref_per_ex.get());
+  std::vector<float> want_batched = pass(ref_batched.get(), batch, labels);
+  std::unique_ptr<Sequential> ref_one = make_model();
+  std::vector<float> want_one = pass(ref_one.get(), x0, {labels[0]});
 
-  // Interleaved: batched → per-example → batched → per-example, all on
-  // one instance whose layers share cache slots between the paths.
+  // Interleaved: batch → one → batch → one, all on one instance whose
+  // layers reuse their cache slots across microbatch sizes.
   std::unique_ptr<Sequential> model = make_model();
-  BatchedModelRun b1 = batched_pass(model.get());
-  std::vector<float> p1 = per_example_pass(model.get());
-  BatchedModelRun b2 = batched_pass(model.get());
-  std::vector<float> p2 = per_example_pass(model.get());
-
-  for (size_t i = 0; i < want_batched.logits.size(); ++i) {
-    ASSERT_EQ(b1.logits[i], want_batched.logits[i]) << "b1 logits " << i;
-    ASSERT_EQ(b2.logits[i], want_batched.logits[i]) << "b2 logits " << i;
-  }
-  ASSERT_EQ(b1.grads, want_batched.grads);
-  ASSERT_EQ(b2.grads, want_batched.grads);
-  ASSERT_EQ(p1, want_per_ex);
-  ASSERT_EQ(p2, want_per_ex);
+  EXPECT_EQ(pass(model.get(), batch, labels), want_batched);
+  EXPECT_EQ(pass(model.get(), x0, {labels[0]}), want_one);
+  EXPECT_EQ(pass(model.get(), batch, labels), want_batched);
+  EXPECT_EQ(pass(model.get(), x0, {labels[0]}), want_one);
 }
 
-// ... and path-mismatched backwards die loudly instead of reading the
-// other path's caches. One case per layer type the model zoo uses.
-
-struct ContractCase {
-  const char* name;
-  std::function<LayerPtr()> make;
-  std::vector<size_t> ex_in;   // per-example input shape
-  std::vector<size_t> ex_out;  // per-example output shape
-};
-
-std::vector<ContractCase> ContractCases() {
-  return {
-      {"Conv2d",
-       [] { return std::make_unique<Conv2d>(2, 3, 3, 1); },
-       {2, 5, 5},
-       {3, 5, 5}},
-      {"Linear",
-       [] { return std::make_unique<Linear>(12, 5); },
-       {12},
-       {5}},
-      {"GroupNorm",
-       [] { return std::make_unique<GroupNorm>(2, 4); },
-       {4, 5, 5},
-       {4, 5, 5}},
-      {"AdaptiveAvgPool2d",
-       [] { return std::make_unique<AdaptiveAvgPool2d>(2, 2); },
-       {3, 6, 6},
-       {3, 2, 2}},
-      {"Flatten",
-       [] { return std::make_unique<Flatten>(); },
-       {3, 4, 4},
-       {48}},
-      {"Elu", [] { return std::make_unique<Elu>(); }, {2, 6, 6}, {2, 6, 6}},
-      {"Relu", [] { return std::make_unique<Relu>(); }, {2, 6, 6}, {2, 6, 6}},
-  };
-}
-
-std::vector<size_t> WithBatch(size_t n, const std::vector<size_t>& shape) {
-  std::vector<size_t> s;
-  s.push_back(n);
-  for (size_t d : shape) s.push_back(d);
-  return s;
-}
-
-TEST(KernelEquivalenceDeathTest, BackwardAfterForwardBatchDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  constexpr size_t kN = 3;
-  for (const ContractCase& c : ContractCases()) {
-    SCOPED_TRACE(c.name);
-    LayerPtr layer = c.make();
-    SplitRng rng(157);
-    layer->InitParams(&rng);
-    Tensor xb = RandomTensor(WithBatch(kN, c.ex_in), 163);
-    layer->ForwardBatch(xb);
-    // The batched caches are live; the per-example Backward must refuse
-    // rather than misread the 4-D batch shape as a 3-D example shape.
-    Tensor gy = RandomTensor(c.ex_out, 167);
-    EXPECT_DEATH(layer->Backward(gy), "cached-state contract violated");
-  }
-}
-
-TEST(KernelEquivalenceDeathTest, BackwardBatchAfterForwardDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  constexpr size_t kN = 3;
-  for (const ContractCase& c : ContractCases()) {
-    SCOPED_TRACE(c.name);
-    LayerPtr layer = c.make();
-    SplitRng rng(173);
-    layer->InitParams(&rng);
-    Tensor x = RandomTensor(c.ex_in, 179);
-    layer->Forward(x);
-    Tensor gyb = RandomTensor(WithBatch(kN, c.ex_out), 181);
-    std::vector<float> sink(kN * std::max<size_t>(1, layer->NumParams()),
-                            0.0f);
-    EXPECT_DEATH(
-        layer->BackwardBatch(gyb, {sink.data(), layer->NumParams(), 0}),
-        "cached-state contract violated");
-  }
-}
+// ... and a backward with nothing to consume dies loudly.
 
 TEST(KernelEquivalenceDeathTest, BackwardWithoutForwardDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  GroupNorm gn(2, 4);
-  Tensor gy = RandomTensor({4, 5, 5}, 191);
-  EXPECT_DEATH(gn.Backward(gy), "no forward has run");
+  std::unique_ptr<Sequential> gn = Solo(std::make_unique<GroupNorm>(2, 4));
+  Tensor gy = RandomTensor({1, 4, 5, 5}, 191);
+  std::vector<float> rows(gn->NumParams());
+  EXPECT_DEATH(gn->BackwardBatchTo(gy, 1, rows.data()), "no forward has run");
 }
 
 TEST(KernelEquivalenceDeathTest, FusedBackwardWithoutFusedForwardDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // An unfused forward fills the same layer caches a fused one would,
-  // but the FusedStage backward additionally needs the stage geometry
-  // its own forward recorded. Toggling fusion on between passes must
+  // Toggling fusion drops the plan, and the rebuilt plan's stages have
+  // recorded no forward geometry: a backward across the toggle must
   // fail loudly, not misdrive the panels.
   constexpr size_t kN = 3;
   auto model = MakeCnn(1, 8, 3, 4);

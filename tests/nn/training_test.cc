@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
-#include "nn/optimizer.h"
 
 namespace dpbr {
 namespace nn {
@@ -33,10 +32,55 @@ Blobs MakeBlobs(size_t n, uint64_t seed) {
   return b;
 }
 
+// `x` as a microbatch of one example.
+Tensor BatchOfOne(const Tensor& x) {
+  std::vector<size_t> shape = {1};
+  shape.insert(shape.end(), x.shape().begin(), x.shape().end());
+  auto r = x.Reshape(shape);
+  EXPECT_TRUE(r.ok());
+  return std::move(r).value();
+}
+
+// Logits of one example (shape {1, classes}).
+Tensor Logits(Sequential* m, const Tensor& x) {
+  return m->ForwardBatch(BatchOfOne(x));
+}
+
+// SGD with classical momentum on the flat parameter vector, one
+// example per step: w ← w − lr·buf, buf ← momentum·buf + g, where g is
+// the example's gradient row from BackwardBatchTo.
+class SgdSteps {
+ public:
+  SgdSteps(Sequential* m, double lr, double momentum)
+      : m_(m),
+        lr_(static_cast<float>(lr)),
+        momentum_(static_cast<float>(momentum)),
+        buf_(m->NumParams(), 0.0f),
+        grad_(m->NumParams()) {}
+
+  void Step(const Tensor& x, size_t label) {
+    BatchLossGrad lg = SoftmaxCrossEntropyBatch(Logits(m_, x), {label});
+    m_->BackwardBatchTo(lg.grad_logits, 1, grad_.data());
+    std::vector<float> w = m_->FlatParams();
+    for (size_t i = 0; i < w.size(); ++i) {
+      buf_[i] = momentum_ * buf_[i] + grad_[i];
+      w[i] -= lr_ * buf_[i];
+    }
+    m_->SetParamsFrom(w.data());
+  }
+
+ private:
+  Sequential* m_;
+  float lr_;
+  float momentum_;
+  std::vector<float> buf_;
+  std::vector<float> grad_;
+};
+
 double Accuracy(Sequential* m, const Blobs& b) {
   size_t correct = 0;
   for (size_t i = 0; i < b.xs.size(); ++i) {
-    if (Argmax(m->Forward(b.xs[i])) == b.ys[i]) ++correct;
+    if (Argmax(Logits(m, b.xs[i])) == b.ys[i]) ++correct;
   }
   return static_cast<double>(correct) / b.xs.size();
 }
@@ -47,13 +91,10 @@ TEST(TrainingTest, MlpFitsLinearlySeparableBlobs) {
   m->InitParams(&rng);
   Blobs train = MakeBlobs(200, 1);
   Blobs test = MakeBlobs(200, 2);
-  Sgd sgd(m.get(), 0.05, 0.9);
+  SgdSteps sgd(m.get(), 0.05, 0.9);
   for (int epoch = 0; epoch < 10; ++epoch) {
     for (size_t i = 0; i < train.xs.size(); ++i) {
-      Tensor logits = m->Forward(train.xs[i]);
-      LossGrad lg = SoftmaxCrossEntropy(logits, train.ys[i]);
-      m->Backward(lg.grad_logits);
-      sgd.Step();
+      sgd.Step(train.xs[i], train.ys[i]);
     }
   }
   EXPECT_GT(Accuracy(m.get(), test), 0.95);
@@ -64,21 +105,20 @@ TEST(TrainingTest, LossDecreasesMonotonicallyOnAverage) {
   SplitRng rng(12);
   m->InitParams(&rng);
   Blobs train = MakeBlobs(100, 3);
-  Sgd sgd(m.get(), 0.05, 0.0);
+  SgdSteps sgd(m.get(), 0.05, 0.0);
   auto epoch_loss = [&] {
     double s = 0.0;
     for (size_t i = 0; i < train.xs.size(); ++i) {
-      s += SoftmaxCrossEntropy(m->Forward(train.xs[i]), train.ys[i]).loss;
+      s += SoftmaxCrossEntropyBatch(Logits(m.get(), train.xs[i]),
+                                    {train.ys[i]})
+               .losses[0];
     }
     return s / train.xs.size();
   };
   double before = epoch_loss();
   for (int epoch = 0; epoch < 5; ++epoch) {
     for (size_t i = 0; i < train.xs.size(); ++i) {
-      Tensor logits = m->Forward(train.xs[i]);
-      LossGrad lg = SoftmaxCrossEntropy(logits, train.ys[i]);
-      m->Backward(lg.grad_logits);
-      sgd.Step();
+      sgd.Step(train.xs[i], train.ys[i]);
     }
   }
   EXPECT_LT(epoch_loss(), before * 0.7);
@@ -99,19 +139,16 @@ TEST(TrainingTest, CnnFitsPatternImages) {
   };
   auto m = MakeCnn(1, 4, 3, 2);
   m->InitParams(&rng);
-  Sgd sgd(m.get(), 0.02, 0.9);
+  SgdSteps sgd(m.get(), 0.02, 0.9);
   for (int step = 0; step < 300; ++step) {
     size_t label = step % 2;
-    Tensor x = make_image(label);
-    LossGrad lg = SoftmaxCrossEntropy(m->Forward(x), label);
-    m->Backward(lg.grad_logits);
-    sgd.Step();
+    sgd.Step(make_image(label), label);
   }
   size_t correct = 0;
   const size_t kEval = 100;
   for (size_t i = 0; i < kEval; ++i) {
     size_t label = i % 2;
-    if (Argmax(m->Forward(make_image(label))) == label) ++correct;
+    if (Argmax(Logits(m.get(), make_image(label))) == label) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / kEval, 0.9);
 }
