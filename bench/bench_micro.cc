@@ -18,6 +18,8 @@
 #include "core/dpbr_aggregator.h"
 #include "core/first_stage.h"
 #include "dp/rdp_accountant.h"
+#include "stats/distributions.h"
+#include "stats/kolmogorov.h"
 #include "stats/ks_test.h"
 
 namespace {
@@ -86,7 +88,39 @@ void BM_KsTestGaussian(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * d);
 }
-BENCHMARK(BM_KsTestGaussian)->Arg(2410)->Arg(21802)->Arg(100000);
+// The MLP d, the CNN d (cnn_gaussian), a wide model and the gated size.
+void KsTestArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t d : {2410, 5706, 21802, 100000}) b->Arg(d);
+}
+BENCHMARK(BM_KsTestGaussian)->Apply(KsTestArgs);
+
+// The comparison-sort KS kernel KsTestGaussian replaced: copy the row,
+// std::sort it, evaluate Φ into a u array, fold D. Kept here as the
+// reference side of the radix-sort ratio gate.
+void BM_KsTestGaussianSortReference(benchmark::State& state) {
+  size_t d = static_cast<size_t>(state.range(0));
+  SplitRng rng(2);
+  std::vector<float> u(d);
+  rng.FillGaussian(u.data(), d, 0.3);
+  for (auto _ : state) {
+    std::vector<float> sorted(u);
+    std::sort(sorted.begin(), sorted.end());
+    double inv_sigma = 1.0 / 0.3;
+    std::vector<double> cdf(d);
+    for (size_t i = 0; i < d; ++i) {
+      cdf[i] = stats::NormalCdf(static_cast<double>(sorted[i]) * inv_sigma);
+    }
+    double inv_n = 1.0 / static_cast<double>(d);
+    double stat = 0.0;
+    for (size_t i = 0; i < d; ++i) {
+      stat = std::max(stat, static_cast<double>(i + 1) * inv_n - cdf[i]);
+      stat = std::max(stat, cdf[i] - static_cast<double>(i) * inv_n);
+    }
+    benchmark::DoNotOptimize(stats::KsPValue(d, stat));
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_KsTestGaussianSortReference)->Apply(KsTestArgs);
 
 void BM_FirstStageApply(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

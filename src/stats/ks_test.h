@@ -22,12 +22,24 @@ struct KsResult {
 };
 
 /// Tests `sample` against an arbitrary continuous CDF. The sample is copied
-/// and sorted internally.
+/// and sorted internally with std::sort, so it must hold no NaN. Tests use
+/// it as the reference for KsTestGaussian.
 KsResult KsTest(const std::vector<double>& sample,
                 const std::function<double(double)>& cdf);
 
 /// Tests float data (gradient coordinates) against N(0, stddev²) without
 /// converting the container. This is the hot path of FirstAgg.
+///
+/// The coordinates are radix-sorted as order-preserving 32-bit keys in a
+/// grow-only per-thread scratch (8·n bytes), so steady-state calls
+/// allocate nothing. D and the p-value are bitwise equal to
+/// KsTest(double copy, x ↦ NormalCdf(x · (1/stddev))): the only floats
+/// that compare equal with different bits are ±0, and Φ(±0) = 0.5.
+///
+/// Every input has a defined result. ±inf sort to the ends (Φ = 0 or 1).
+/// NaNs sort past them by sign bit (-NaN first, +NaN last), keep their
+/// ranks in n, and contribute nothing to D, since Φ(NaN) is NaN and every
+/// comparison with it is false.
 KsResult KsTestGaussian(const float* data, size_t n, double stddev);
 
 /// Convenience overload.

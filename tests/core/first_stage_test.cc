@@ -4,8 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <thread>
 
 #include "common/rng.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 #include "stats/distributions.h"
 #include "tensor/ops.h"
 
@@ -143,6 +151,201 @@ TEST(FirstStageTest, ApplyZeroesRejectsAndReports) {
   EXPECT_EQ(ops::Norm(rows.Row(1), kDim), 0.0);
   EXPECT_EQ(ops::Norm(rows.Row(2), kDim), 0.0);
   EXPECT_GT(ops::Norm(rows.Row(0), kDim), 0.0);
+}
+
+// --- Verdict digest: FNV-1a over every row's passed_norm/passed_ks flags
+// and the bits of its norm and KS p-value. The constant was recorded
+// from the comparison-sort KS implementation, so it pins the radix-sorted
+// kernel to the verdicts it replaced, at every pool size and on the
+// scalar SIMD tier. Running this binary with DPBR_FORCE_SCALAR=1 checks
+// the environment override end to end.
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t VerdictDigest(const std::vector<FirstStageVerdict>& verdicts) {
+  uint64_t h = kFnvOffset;
+  for (const FirstStageVerdict& v : verdicts) {
+    const unsigned char flags[2] = {v.passed_norm, v.passed_ks};
+    h = Fnv1a(h, flags, sizeof(flags));
+    h = Fnv1a(h, &v.norm, sizeof(v.norm));
+    h = Fnv1a(h, &v.ks_p_value, sizeof(v.ks_p_value));
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+size_t HardwarePool() {
+  return std::max<size_t>(2, std::thread::hardware_concurrency());
+}
+
+// A fixed-seed round of 32 uploads, interleaving four kinds: honest noise
+// rows, norm-camouflaged ±σ rows (right norm, wrong shape), wrongly
+// scaled rows and zero rows.
+std::vector<float> MixedArena(size_t* rows) {
+  const size_t kRows = 32;
+  std::vector<float> arena;
+  arena.reserve(kRows * kDim);
+  for (size_t i = 0; i < kRows; ++i) {
+    std::vector<float> u(kDim, 0.0f);
+    SplitRng rng(700 + i);
+    switch (i % 4) {
+      case 0:
+      case 1:
+        u = HonestLikeUpload(600 + i);
+        break;
+      case 2:
+        for (auto& v : u) {
+          v = static_cast<float>(rng.Uniform() < 0.5 ? kSigmaUp : -kSigmaUp);
+        }
+        break;
+      case 3:
+        if (i % 8 != 7) {
+          double scale = (i % 16 == 3) ? 2.0 : (i % 16 == 11 ? 0.5 : 1.1);
+          rng.FillGaussian(u.data(), kDim, scale * kSigmaUp);
+        }
+        break;
+    }
+    arena.insert(arena.end(), u.begin(), u.end());
+  }
+  *rows = kRows;
+  return arena;
+}
+
+uint64_t MixedArenaDigest(size_t threads) {
+  ThreadPool pool(threads);
+  ScopedPoolOverride override_pool(&pool);
+  size_t rows = 0;
+  std::vector<float> arena = MixedArena(&rows);
+  FirstStageFilter f{ProtocolOptions{}};
+  return VerdictDigest(f.Apply(RowSpan(arena.data(), rows, kDim), kSigmaUp));
+}
+
+constexpr uint64_t kMixedArenaDigest = 0xeac30e9c7ba03b2aULL;
+
+TEST(FirstStageDigestTest, MixedArenaEveryPool) {
+  for (size_t threads : {size_t{1}, size_t{2}, HardwarePool()}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    EXPECT_EQ(Hex(MixedArenaDigest(threads)), Hex(kMixedArenaDigest));
+  }
+}
+
+TEST(FirstStageDigestTest, ScalarTierEveryPool) {
+  simd::ScopedForceIsa force(simd::IsaLevel::kScalar);
+  for (size_t threads : {size_t{1}, size_t{2}, HardwarePool()}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    EXPECT_EQ(Hex(MixedArenaDigest(threads)), Hex(kMixedArenaDigest));
+  }
+}
+
+TEST(FirstStageDigestTest, MixedArenaCoversEveryOutcome) {
+  size_t rows = 0;
+  std::vector<float> arena = MixedArena(&rows);
+  FirstStageFilter f{ProtocolOptions{}};
+  FirstStageReport report;
+  f.Apply(RowSpan(arena.data(), rows, kDim), kSigmaUp, &report);
+  EXPECT_GT(report.accepted, 0u);
+  EXPECT_GT(report.rejected_norm, 0u);
+  EXPECT_GT(report.rejected_ks, 0u);
+}
+
+// --- Non-finite uploads: Apply does not sanitize, so NaN and ±inf
+// coordinates reach the KS sort. Their order is defined, the rows are
+// rejected, and the verdicts do not depend on the pool size.
+
+bool SameVerdictBits(const FirstStageVerdict& a, const FirstStageVerdict& b) {
+  return a.passed_norm == b.passed_norm && a.passed_ks == b.passed_ks &&
+         std::memcmp(&a.norm, &b.norm, sizeof(a.norm)) == 0 &&
+         std::memcmp(&a.ks_p_value, &b.ks_p_value, sizeof(a.ks_p_value)) == 0;
+}
+
+TEST(FirstStageTest, NonFiniteRowsRejectedPoolInvariant) {
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const size_t kRows = 6;
+  std::vector<float> arena;
+  for (size_t i = 0; i < kRows; ++i) {
+    std::vector<float> u = HonestLikeUpload(800 + i);
+    for (size_t j = i; j < kDim; j += 97) {
+      if (i == 1) u[j] = (j % 2 == 0) ? kNan : -kNan;
+      if (i == 2) u[j] = kInf;
+      if (i == 3) u[j] = -kInf;
+      if (i == 4) u[j] = (j % 3 == 0) ? kNan : (j % 3 == 1 ? kInf : -kInf);
+    }
+    arena.insert(arena.end(), u.begin(), u.end());
+  }
+  FirstStageFilter f{ProtocolOptions{}};
+  std::vector<std::vector<FirstStageVerdict>> runs;
+  for (size_t threads : {size_t{1}, size_t{2}, HardwarePool()}) {
+    ThreadPool pool(threads);
+    ScopedPoolOverride override_pool(&pool);
+    std::vector<float> copy = arena;
+    runs.push_back(f.Apply(RowSpan(copy.data(), kRows, kDim), kSigmaUp));
+    for (size_t i = 1; i <= 4; ++i) {
+      EXPECT_FALSE(runs.back()[i].accepted()) << "row " << i;
+      EXPECT_EQ(ops::Norm(copy.data() + i * kDim, kDim), 0.0) << "row " << i;
+    }
+  }
+  for (size_t r = 1; r < runs.size(); ++r) {
+    for (size_t i = 0; i < kRows; ++i) {
+      EXPECT_TRUE(SameVerdictBits(runs[0][i], runs[r][i]))
+          << "run " << r << " row " << i;
+    }
+  }
+}
+
+// --- Scratch reuse across pool workers: arenas of different widths in
+// sequence leave each worker's grow-only sort scratch at a different
+// high-water mark. Every verdict must equal the same row tested first
+// in a fresh thread.
+
+FirstStageVerdict TestInFreshThread(const FirstStageFilter& f,
+                                    const std::vector<float>& row) {
+  FirstStageVerdict v;
+  std::thread t([&] { v = f.Test(row.data(), row.size(), kSigmaUp); });
+  t.join();
+  return v;
+}
+
+TEST(FirstStageTest, ApplyAcrossWidthsMatchesFreshThreadTests) {
+  FirstStageFilter f{ProtocolOptions{}};
+  const size_t kWidths[] = {5706, 2410, 1, 100000, 2410};
+  const size_t kRows = 4;
+  ThreadPool pool(HardwarePool());
+  ScopedPoolOverride override_pool(&pool);
+  uint64_t seed = 4000;
+  for (size_t width : kWidths) {
+    std::vector<float> arena;
+    std::vector<FirstStageVerdict> want;
+    for (size_t i = 0; i < kRows; ++i) {
+      std::vector<float> u(width);
+      SplitRng rng(++seed);
+      // One wrongly scaled row per arena exercises the zeroing path.
+      rng.FillGaussian(u.data(), width, (i == 2 ? 1.5 : 1.0) * kSigmaUp);
+      want.push_back(TestInFreshThread(f, u));
+      arena.insert(arena.end(), u.begin(), u.end());
+    }
+    std::vector<FirstStageVerdict> got =
+        f.Apply(RowSpan(arena.data(), kRows, width), kSigmaUp);
+    for (size_t i = 0; i < kRows; ++i) {
+      EXPECT_TRUE(SameVerdictBits(got[i], want[i]))
+          << "width " << width << " row " << i;
+    }
+  }
 }
 
 TEST(EnvelopeTest, IntervalsAreOrderedAndContainGaussianQuantiles) {
