@@ -373,6 +373,48 @@ void BM_LocalStepCnn(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond);
 
+// --- One worker round at the benchmark workloads' shapes, bc = 16, per
+// momentum mode: the arg is d (2410 = MLP 64-32-10 on flat features,
+// 5706 = CNN(1, 8, 3, 10) on 16×16 images). Pool 1, as inside the
+// trainer's worker ParallelFor where the nn kernels run inline. Report
+// only: the slot pipeline is the part the modes differ in.
+void BM_WorkerComputeUpdate(benchmark::State& state, bool persist) {
+  const bool mlp = state.range(0) == 2410;
+  data::DatasetBundle bundle = mlp ? FlatBundle() : ImageBundle(16);
+  nn::ModelFactory factory =
+      mlp ? nn::MlpFactory(64, 32, 10) : nn::CnnFactory(1, 8, 3, 10);
+  fl::WorkerOptions opts;
+  opts.batch_size = 16;
+  opts.sigma = 0.3;
+  opts.momentum_reset = persist ? fl::MomentumReset::kPersist
+                                : fl::MomentumReset::kResetToUpload;
+  fl::HonestDpWorker worker(0, data::DatasetView::All(&bundle.train),
+                            factory, opts, 17);
+  if (worker.dim() != static_cast<size_t>(state.range(0))) {
+    std::fprintf(stderr, "FATAL: worker bench d=%zu, expected %lld\n",
+                 worker.dim(), static_cast<long long>(state.range(0)));
+    std::exit(1);
+  }
+  ThreadPool pool(1);
+  ScopedPoolOverride override_pool(&pool);
+  std::vector<float> params(worker.dim(), 0.01f);
+  std::vector<float> upload(worker.dim());
+  int round = 1;
+  for (auto _ : state) {
+    worker.ComputeUpdateInto(params, round++, upload.data());
+    benchmark::DoNotOptimize(upload.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["momentum_slots"] =
+      static_cast<double>(worker.momentum().size());
+}
+
+void WorkerShapes(benchmark::internal::Benchmark* b) {
+  b->Arg(2410)->Arg(5706)->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK_CAPTURE(BM_WorkerComputeUpdate, Reset, false)->Apply(WorkerShapes);
+BENCHMARK_CAPTURE(BM_WorkerComputeUpdate, Persist, true)->Apply(WorkerShapes);
+
 // --- Whole-CNN batched step, fused (one stage, one dispatch per
 // direction) against one stage per layer (SetFusionEnabled(false)), both
 // through the same hooks. Forward-only and forward+loss+backward

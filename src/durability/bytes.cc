@@ -49,7 +49,8 @@ Status ByteReader::Take(void* out, size_t n) {
                               std::to_string(n) + " bytes, have " +
                               std::to_string(remaining()));
   }
-  std::memcpy(out, data_ + pos_, n);
+  // An empty vector's data() may be null, and memcpy(nullptr, _, 0) is UB.
+  if (n > 0) std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return Status::OK();
 }

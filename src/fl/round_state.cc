@@ -197,8 +197,10 @@ Result<PersistentRoundState> DecodeRoundState(const std::string& payload) {
   uint32_t version = 0;
   DPBR_RETURN_NOT_OK(r.GetU32(&version));
   if (version != kRoundStateVersion) {
-    return Status::InvalidArgument("round state: unsupported version " +
-                                   std::to_string(version));
+    return Status::InvalidArgument(
+        "round state: unsupported version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kRoundStateVersion) +
+        ")");
   }
   PersistentRoundState state;
   DPBR_RETURN_NOT_OK(DecodeFingerprint(&r, &state.fingerprint));

@@ -35,7 +35,10 @@ namespace fl {
 
 /// Payload layout version inside the checkpoint container (which has its
 /// own container version; this one covers the trainer state encoding).
-inline constexpr uint32_t kRoundStateVersion = 1;
+/// Version 2 stores one momentum slot per worker under kResetToUpload
+/// (version 1 stored batch_size identical copies); a version-1 payload is
+/// rejected with InvalidArgument.
+inline constexpr uint32_t kRoundStateVersion = 2;
 
 /// WAL file name inside a checkpoint directory.
 inline constexpr char kWalFileName[] = "wal.log";
@@ -75,8 +78,9 @@ struct PersistentRoundState {
   int64_t completed_round = 0;
   /// Flat global model parameters (server source of truth).
   std::vector<float> model_params;
-  /// Momentum list φ of every honest worker (batch_size slots × dim),
-  /// worker-id order.
+  /// Momentum list φ of every honest worker (HonestDpWorker::momentum():
+  /// batch_size slots × dim under kPersist, one slot under
+  /// kResetToUpload), worker-id order.
   std::vector<std::vector<std::vector<float>>> honest_momentum;
   /// Same for the poisoned-protocol workers backing data-poisoning
   /// attacks (empty when the attack has none).

@@ -1,6 +1,11 @@
 // Honest worker implementing the client side of Algorithm 1:
 // per-example gradients → per-slot momentum → normalization → Gaussian
 // perturbation → averaged upload.
+//
+// After the batched backward pass the slot pipeline makes two passes over
+// d per slot: pass 1 writes φ_j = (1−β)·g_j + β·base_j and accumulates
+// ‖φ_j‖², pass 2 adds the normalized slots into the upload in ascending
+// j (docs/architecture.md has the bitwise argument).
 
 #ifndef DPBR_FL_WORKER_H_
 #define DPBR_FL_WORKER_H_
@@ -67,15 +72,18 @@ class HonestDpWorker {
   /// chain before trusting a snapshot.
   uint64_t rng_key() const { return seed_; }
 
-  /// Momentum list φ (batch_size slots × dim) — the worker's only
-  /// cross-round state, snapshotted by the durable trainer.
+  /// Momentum list φ — the worker's only cross-round state, snapshotted
+  /// by the durable trainer. kPersist keeps batch_size slots × dim; under
+  /// kResetToUpload every slot equals the last upload, so one slot is
+  /// stored.
   const std::vector<std::vector<float>>& momentum() const {
     return momentum_;
   }
 
   /// Replaces φ with a snapshotted list. Rejects shape mismatches (wrong
-  /// slot count or slot dimension) so a checkpoint from a different
-  /// configuration can never be loaded silently.
+  /// slot count for the momentum mode, or wrong slot dimension) so a
+  /// checkpoint from a different configuration can never be loaded
+  /// silently.
   Status RestoreMomentum(const std::vector<std::vector<float>>& momentum);
 
  private:
@@ -85,10 +93,12 @@ class HonestDpWorker {
   WorkerOptions options_;
   uint64_t seed_;
   size_t dim_;
-  /// Momentum list φ: batch_size slots of dimension d (Algorithm 1 line 1).
+  /// Momentum list φ (Algorithm 1 line 1): batch_size slots of dimension
+  /// d under kPersist, one shared slot under kResetToUpload.
   std::vector<std::vector<float>> momentum_;
   /// Reused (batch_size × d) buffer the batched backward pass writes each
-  /// example's flat gradient into (row j = example j).
+  /// example's flat gradient into (row j = example j). Under
+  /// kResetToUpload pass 1 overwrites row j with the slot's momentum φ_j.
   std::vector<float> per_example_grads_;
 };
 

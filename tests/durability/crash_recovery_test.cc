@@ -10,9 +10,11 @@
 #include <csignal>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,6 +60,15 @@ TrainerOptions BaseOptions() {
   o.momentum_reset = MomentumReset::kPersist;
   o.seed = 1;
   o.eval_every_epochs = 0.3;
+  return o;
+}
+
+// The durable benchmark's shape: the default kResetToUpload momentum
+// (one stored row per worker) with half the clients sampled per round.
+TrainerOptions ResetSubsampledOptions() {
+  TrainerOptions o = BaseOptions();
+  o.momentum_reset = MomentumReset::kResetToUpload;
+  o.client_sampling_rate = 0.5;
   return o;
 }
 
@@ -151,8 +162,9 @@ class CrashRecoveryTest : public ::testing::Test {
   RunResult StopAndResume(const data::DatasetBundle* bundle,
                           const std::string& dir, int stop_round,
                           bool use_dpbr = false,
-                          void (*damage)(const std::string&) = nullptr) {
-    TrainerOptions o = BaseOptions();
+                          void (*damage)(const std::string&) = nullptr,
+                          const TrainerOptions& base = BaseOptions()) {
+    TrainerOptions o = base;
     o.checkpoint_dir = dir;
     o.stop_after_round = stop_round;
     RunResult partial = RunOnce(bundle, o, use_dpbr);
@@ -196,6 +208,41 @@ TEST_F(CrashRecoveryTest, ResumeEqualsUninterruptedAcrossPoolSizes) {
     ExpectHistoriesBitwiseEqual(resumed.history, reference.history);
     // The resumed run's ledger covers the whole experiment.
     EXPECT_EQ(resumed.rounds_charged, reference.rounds_charged);
+  }
+}
+
+TEST_F(CrashRecoveryTest, ResetToUploadSubsampledResumeIsBitwise) {
+  data::DatasetBundle bundle = SmallBundle();
+  TrainerOptions o = ResetSubsampledOptions();
+  o.checkpoint_dir = NewDir("reset_reference");
+  RunResult reference = RunOnce(&bundle, o);
+  ASSERT_FALSE(reference.history.interrupted);
+  const int64_t last = reference.history.total_rounds;
+  auto reference_ckpt = durability::ReadFileToString(
+      durability::CheckpointPath(o.checkpoint_dir, last));
+  ASSERT_TRUE(reference_ckpt.ok());
+  // The snapshot carries one momentum row per worker, not batch_size.
+  auto reference_state = LoadDurableState(o.checkpoint_dir);
+  ASSERT_TRUE(reference_state.ok());
+  for (const auto& worker : reference_state.value().snapshot.honest_momentum) {
+    EXPECT_EQ(worker.size(), 1u);
+  }
+
+  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (size_t threads : {size_t{1}, size_t{2}, hw}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    ThreadPool pool(threads);
+    ScopedPoolOverride ov(&pool);
+    std::string dir = NewDir("reset_pool" + std::to_string(threads));
+    RunResult resumed = StopAndResume(&bundle, dir, 5, false, nullptr,
+                                      ResetSubsampledOptions());
+    EXPECT_EQ(resumed.params, reference.params);
+    ExpectHistoriesBitwiseEqual(resumed.history, reference.history);
+    EXPECT_EQ(resumed.rounds_charged, reference.rounds_charged);
+    auto ckpt = durability::ReadFileToString(
+        durability::CheckpointPath(dir, last));
+    ASSERT_TRUE(ckpt.ok());
+    EXPECT_TRUE(ckpt.value() == reference_ckpt.value());
   }
 }
 

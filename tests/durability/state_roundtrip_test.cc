@@ -336,6 +336,22 @@ TEST(RoundStateTest, CorruptPayloadsFailWithStatus) {
   EXPECT_FALSE(fl::DecodeRoundState(bad_version).ok());
 }
 
+// Version 1 stored batch_size identical momentum copies per worker under
+// kResetToUpload; version 2 stores one. An old snapshot must be refused
+// with a Status naming its version, never reinterpreted.
+TEST(RoundStateTest, VersionOnePayloadIsRejectedByName) {
+  EXPECT_EQ(fl::kRoundStateVersion, 2u);
+  std::string payload = fl::EncodeRoundState(SampleState());
+  ByteWriter w;
+  w.PutU32(1);
+  std::string v1 = w.Take() + payload.substr(sizeof(uint32_t));
+  auto decoded = fl::DecodeRoundState(v1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("version 1"), std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST(RoundCommitRecordTest, RoundTripsAndRejectsCorruption) {
   fl::RoundCommitRecord rec;
   rec.round = 12;

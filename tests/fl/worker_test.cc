@@ -127,6 +127,66 @@ TEST(WorkerTest, MomentumModesDiverge) {
   EXPECT_NE(a.ComputeUpdate(params, 2), b.ComputeUpdate(params, 2));
 }
 
+// Memory contract: under kResetToUpload every slot equals the last
+// upload, so the worker stores one momentum row; kPersist keeps bc.
+TEST(WorkerTest, MomentumSlotsPerMode) {
+  data::DatasetBundle bundle = SmallBundle();
+  nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
+  auto model = f();
+  SplitRng rng(4);
+  model->InitParams(&rng);
+  std::vector<float> params = model->FlatParams();
+
+  WorkerOptions reset = Opts(1.0);
+  reset.momentum_reset = MomentumReset::kResetToUpload;
+  WorkerOptions persist = Opts(1.0);
+  persist.momentum_reset = MomentumReset::kPersist;
+  HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, reset, 9);
+  HonestDpWorker b(0, data::DatasetView::All(&bundle.train), f, persist, 9);
+  ASSERT_EQ(a.momentum().size(), 1u);
+  ASSERT_EQ(b.momentum().size(), static_cast<size_t>(persist.batch_size));
+  for (int round = 1; round <= 3; ++round) {
+    std::vector<float> upload = a.ComputeUpdate(params, round);
+    b.ComputeUpdate(params, round);
+    ASSERT_EQ(a.momentum().size(), 1u);
+    // The one reset row is the upload (Algorithm 1 line 11).
+    EXPECT_EQ(a.momentum()[0], upload);
+    EXPECT_EQ(b.momentum().size(), static_cast<size_t>(persist.batch_size));
+  }
+}
+
+TEST(WorkerTest, RestoreRejectsSlotCountOfTheOtherMode) {
+  data::DatasetBundle bundle = SmallBundle();
+  nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
+  WorkerOptions reset = Opts(0.0);
+  reset.batch_size = 16;
+  reset.momentum_reset = MomentumReset::kResetToUpload;
+  WorkerOptions persist = reset;
+  persist.momentum_reset = MomentumReset::kPersist;
+  HonestDpWorker r(0, data::DatasetView::All(&bundle.train), f, reset, 9);
+  HonestDpWorker p(0, data::DatasetView::All(&bundle.train), f, persist, 9);
+  const std::vector<float> row(r.dim(), 0.25f);
+
+  // A 16-slot (persist or version-1) snapshot into a reset worker.
+  Status s = r.RestoreMomentum(std::vector<std::vector<float>>(16, row));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  // A 1-slot (reset) snapshot into a persist worker.
+  s = p.RestoreMomentum(std::vector<std::vector<float>>(1, row));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  // A rejected restore leaves the state untouched.
+  EXPECT_EQ(r.momentum(),
+            std::vector<std::vector<float>>(1, std::vector<float>(r.dim())));
+
+  // The matching shapes restore.
+  EXPECT_TRUE(r.RestoreMomentum({row}).ok());
+  EXPECT_EQ(r.momentum()[0], row);
+  EXPECT_TRUE(
+      p.RestoreMomentum(std::vector<std::vector<float>>(16, row)).ok());
+  // Wrong slot dimension is rejected too.
+  s = r.RestoreMomentum({std::vector<float>(r.dim() + 1)});
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
 TEST(WorkerTest, TinyShardFallsBackToWithReplacement) {
   data::DatasetBundle bundle = SmallBundle();
   nn::ModelFactory f = nn::MlpFactory(16, 8, 4);
