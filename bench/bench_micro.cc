@@ -57,12 +57,12 @@ void FillGaussianBench(benchmark::State& state, GaussianSampler sampler) {
 void BM_FillGaussianZiggurat(benchmark::State& state) {
   FillGaussianBench(state, GaussianSampler::kZiggurat);
 }
-BENCHMARK(BM_FillGaussianZiggurat)->Arg(65536)->Arg(1048576);
+BENCHMARK(BM_FillGaussianZiggurat)->Arg(65536)->Arg(1048576)->UseRealTime();
 
 void BM_FillGaussianBoxMuller(benchmark::State& state) {
   FillGaussianBench(state, GaussianSampler::kBoxMuller);
 }
-BENCHMARK(BM_FillGaussianBoxMuller)->Arg(65536)->Arg(1048576);
+BENCHMARK(BM_FillGaussianBoxMuller)->Arg(65536)->Arg(1048576)->UseRealTime();
 
 // The DP upload perturbation exactly as the worker runs it (AddGaussian
 // at a model-sized d).
@@ -76,7 +76,7 @@ void BM_AddGaussianUpload(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * d);
 }
-BENCHMARK(BM_AddGaussianUpload)->Arg(35562)->Arg(100000);
+BENCHMARK(BM_AddGaussianUpload)->Arg(35562)->Arg(100000)->UseRealTime();
 
 void BM_KsTestGaussian(benchmark::State& state) {
   size_t d = static_cast<size_t>(state.range(0));
@@ -139,7 +139,7 @@ void BM_FirstStageApply(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_FirstStageApply)->Arg(20)->Arg(50)->Arg(200);
+BENCHMARK(BM_FirstStageApply)->Arg(20)->Arg(50)->Arg(200)->UseRealTime();
 
 void BM_DpbrAggregate(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -156,7 +156,7 @@ void BM_DpbrAggregate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_DpbrAggregate)->Arg(20)->Arg(50)->Arg(200);
+BENCHMARK(BM_DpbrAggregate)->Arg(20)->Arg(50)->Arg(200)->UseRealTime();
 
 void BM_Krum(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -169,7 +169,7 @@ void BM_Krum(benchmark::State& state) {
     benchmark::DoNotOptimize(krum.Aggregate(uploads, ctx));
   }
 }
-BENCHMARK(BM_Krum)->Arg(20)->Arg(50);
+BENCHMARK(BM_Krum)->Arg(20)->Arg(50)->UseRealTime();
 
 // --- Krum serial-vs-parallel comparison at production scale (n=100
 // clients, d=100k dims). The thread count is pinned via
@@ -200,12 +200,12 @@ void KrumAtScale(benchmark::State& state, size_t pool_size) {
 void BM_KrumAtScaleSerial(benchmark::State& state) {
   KrumAtScale(state, 1);
 }
-BENCHMARK(BM_KrumAtScaleSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KrumAtScaleSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_KrumAtScaleParallel(benchmark::State& state) {
   KrumAtScale(state, ParallelPoolSize());
 }
-BENCHMARK(BM_KrumAtScaleParallel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KrumAtScaleParallel)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Serial and parallel Krum must agree bit-for-bit; run before the timing
 // loops so a determinism regression fails the bench smoke job loudly.
@@ -247,7 +247,7 @@ void BM_CoordinateMedian(benchmark::State& state) {
     benchmark::DoNotOptimize(median.Aggregate(uploads, ctx));
   }
 }
-BENCHMARK(BM_CoordinateMedian)->Arg(20)->Arg(50);
+BENCHMARK(BM_CoordinateMedian)->Arg(20)->Arg(50)->UseRealTime();
 
 void BM_RfaGeometricMedian(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -259,7 +259,7 @@ void BM_RfaGeometricMedian(benchmark::State& state) {
     benchmark::DoNotOptimize(rfa.Aggregate(uploads, ctx));
   }
 }
-BENCHMARK(BM_RfaGeometricMedian)->Arg(20)->Arg(50);
+BENCHMARK(BM_RfaGeometricMedian)->Arg(20)->Arg(50)->UseRealTime();
 
 void BM_RdpEpsilon(benchmark::State& state) {
   for (auto _ : state) {
@@ -274,6 +274,20 @@ void BM_NoiseMultiplierSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NoiseMultiplierSearch);
+
+// --- Fork-join overhead: one ParallelFor over 64 indices with an empty
+// body, at pool 1 (the inline loop) and at the hardware pool size.
+// Report only.
+void BM_ParallelForEmpty(benchmark::State& state, bool hw) {
+  ThreadPool pool(hw ? ThreadPool::Global().num_threads() : 1);
+  ScopedPoolOverride override(&pool);
+  for (auto _ : state) {
+    ParallelFor(0, 64, [](size_t i) { benchmark::DoNotOptimize(i); });
+  }
+  state.counters["threads"] = static_cast<double>(pool.num_threads());
+}
+BENCHMARK_CAPTURE(BM_ParallelForEmpty, pool1, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ParallelForEmpty, poolhw, true)->UseRealTime();
 
 // FillGaussian must be bit-identical under serial and parallel pools
 // (same contract the aggregators obey); run before the timing loops so a

@@ -124,7 +124,7 @@ void ConvBackward(benchmark::State& state, nn::Conv2dKernel kernel) {
 void BM_Conv2dBackward(benchmark::State& state) {
   ConvBackward(state, nn::Conv2dKernel::kGemm);
 }
-BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_Conv2dBackwardNaive(benchmark::State& state) {
   ConvBackward(state, nn::Conv2dKernel::kNaive);
@@ -149,7 +149,7 @@ void BM_Conv2dForwardBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
 }
-BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Conv2dForwardBatch)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
   std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
@@ -162,7 +162,9 @@ void BM_Conv2dForwardBatchPerExample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
 }
-BENCHMARK(BM_Conv2dForwardBatchPerExample)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Conv2dForwardBatchPerExample)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // --- Batched conv backward: the single-dispatch microbatch (per-example
 // dW/db rows into the sink + dX via col2im) against the same work run
@@ -182,7 +184,7 @@ void BM_Conv2dBackwardBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
 }
-BENCHMARK(BM_Conv2dBackwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Conv2dBackwardBatch)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
   std::unique_ptr<nn::Sequential> conv = MakeConv(nn::Conv2dKernel::kGemm);
@@ -200,7 +202,9 @@ void BM_Conv2dBackwardBatchPerExample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * kOutCh * kImg *
                           kImg);
 }
-BENCHMARK(BM_Conv2dBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Conv2dBackwardBatchPerExample)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Batched Linear backward (one dispatch: dW/db sink rows + dX rows) at
 // the e2e model shape, against microbatches of one.
@@ -216,7 +220,7 @@ void BM_LinearBackwardBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
 }
-BENCHMARK(BM_LinearBackwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinearBackwardBatch)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_LinearBackwardBatchPerExample(benchmark::State& state) {
   std::unique_ptr<nn::Sequential> linear =
@@ -233,7 +237,9 @@ void BM_LinearBackwardBatchPerExample(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
 }
-BENCHMARK(BM_LinearBackwardBatchPerExample)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinearBackwardBatchPerExample)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // --- GroupNorm / pooling as one-layer stages: one threaded dispatch per
 // microbatch. Shape is the post-conv CNN stage activation:
@@ -256,7 +262,9 @@ void BM_GroupNormForwardBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
-BENCHMARK(BM_GroupNormForwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GroupNormForwardBatch)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_GroupNormBackwardBatch(benchmark::State& state) {
   std::unique_ptr<nn::Sequential> gn = MakeGroupNorm();
@@ -268,7 +276,9 @@ void BM_GroupNormBackwardBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
-BENCHMARK(BM_GroupNormBackwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GroupNormBackwardBatch)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_PoolForwardBatch(benchmark::State& state) {
   std::unique_ptr<nn::Sequential> pool =
@@ -279,7 +289,7 @@ void BM_PoolForwardBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
-BENCHMARK(BM_PoolForwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PoolForwardBatch)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // Raw GEMM throughput at the conv-lowered shape:
 // (32 × 27) · (27 × 1024) per forward.
@@ -295,7 +305,7 @@ void BM_GemmConvShape(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_GemmConvShape)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmConvShape)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // Batched Linear forward at the e2e model shape (batch 16, 512→32).
 void BM_LinearForwardBatch(benchmark::State& state) {
@@ -307,7 +317,7 @@ void BM_LinearForwardBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 16 * 512 * 32);
 }
-BENCHMARK(BM_LinearForwardBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinearForwardBatch)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 data::DatasetBundle ImageBundle(size_t side) {
   data::SyntheticSpec spec;
@@ -365,13 +375,13 @@ void BM_LocalStepMlp(benchmark::State& state) {
   data::DatasetBundle bundle = FlatBundle();
   LocalStep(state, bundle, nn::MlpFactory(64, 128, 10));
 }
-BENCHMARK(BM_LocalStepMlp)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalStepMlp)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LocalStepCnn(benchmark::State& state) {
   data::DatasetBundle bundle = ImageBundle(32);
   LocalStep(state, bundle, nn::CnnFactory(1, kOutCh, kKernel, 10));
 }
-BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalStepCnn)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- One worker round at the benchmark workloads' shapes, bc = 16, per
 // momentum mode: the arg is d (2410 = MLP 64-32-10 on flat features,
@@ -446,12 +456,14 @@ void LocalStepCnnForward(benchmark::State& state, bool fused) {
 void BM_LocalStepCnnForward(benchmark::State& state) {
   LocalStepCnnForward(state, /*fused=*/true);
 }
-BENCHMARK(BM_LocalStepCnnForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalStepCnnForward)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LocalStepCnnForwardUnfused(benchmark::State& state) {
   LocalStepCnnForward(state, /*fused=*/false);
 }
-BENCHMARK(BM_LocalStepCnnForwardUnfused)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalStepCnnForwardUnfused)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The backward-dominated unit of the worker step in isolation: batched
 // forward + loss + per-example-gradient backward through the whole CNN.
@@ -480,12 +492,16 @@ void LocalStepCnnBackward(benchmark::State& state, bool fused) {
 void BM_LocalStepCnnBackward(benchmark::State& state) {
   LocalStepCnnBackward(state, /*fused=*/true);
 }
-BENCHMARK(BM_LocalStepCnnBackward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalStepCnnBackward)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_LocalStepCnnBackwardUnfused(benchmark::State& state) {
   LocalStepCnnBackward(state, /*fused=*/false);
 }
-BENCHMARK(BM_LocalStepCnnBackwardUnfused)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalStepCnnBackwardUnfused)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Reports a determinism failure and exits, failing the bench smoke job.
 void Fail(const char* what) {

@@ -64,7 +64,7 @@ void BM_RoundUpload(benchmark::State& state) {
   state.counters["arena_MiB"] =
       static_cast<double>(arena.capacity_bytes()) / (1024.0 * 1024.0);
 }
-BENCHMARK(BM_RoundUpload)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_RoundUpload)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 
 void BM_AggregateArena(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -87,7 +87,7 @@ void BM_AggregateArena(benchmark::State& state) {
   state.counters["tile_cols"] =
       static_cast<double>(agg::SelectionTileWidth(n));
 }
-BENCHMARK(BM_AggregateArena)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_AggregateArena)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 
 // The arena span path must be bitwise equal to the legacy
 // vector-of-vectors adapter (the contract arena_equivalence_test pins

@@ -52,12 +52,12 @@ void GemmConvShape(benchmark::State& state, simd::IsaLevel level) {
 void BM_SimdGemmConvShape(benchmark::State& state) {
   GemmConvShape(state, simd::DetectedIsa());
 }
-BENCHMARK(BM_SimdGemmConvShape)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SimdGemmConvShape)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_ScalarGemmConvShape(benchmark::State& state) {
   GemmConvShape(state, simd::IsaLevel::kScalar);
 }
-BENCHMARK(BM_ScalarGemmConvShape)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScalarGemmConvShape)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // --- ReLU element sweep over an L1/L2-resident activation block. The
 // kernel is branch-free compare-and-zero on every tier, so the timing
@@ -133,12 +133,12 @@ void ZigguratFill(benchmark::State& state, simd::IsaLevel level) {
 void BM_SimdZigguratFill(benchmark::State& state) {
   ZigguratFill(state, simd::DetectedIsa());
 }
-BENCHMARK(BM_SimdZigguratFill)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimdZigguratFill)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ScalarZigguratFill(benchmark::State& state) {
   ZigguratFill(state, simd::IsaLevel::kScalar);
 }
-BENCHMARK(BM_ScalarZigguratFill)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScalarZigguratFill)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Spot-checks the bitwise dispatch contract before timing anything, so
 // a broken tier fails loudly here instead of publishing bogus ratios.

@@ -33,7 +33,8 @@ import os
 import sys
 
 # Benchmarks whose per-iteration time is gated against the baseline.
-# Names must match the google-benchmark "name" field exactly.
+# Names must match the google-benchmark "name" field exactly, less the
+# "/real_time" suffix UseRealTime() appends (see registered_name).
 HOT_BENCHMARKS = [
     "BM_FillGaussianZiggurat/1048576",
     "BM_AddGaussianUpload/100000",
@@ -181,10 +182,18 @@ def per_iteration_time(entry):
     return entry["real_time"] * unit
 
 
+def registered_name(name):
+    """The name a benchmark was registered under. UseRealTime() makes
+    google-benchmark append "/real_time" to the reported name; the gate
+    keys on the registered name so it does not depend on the time base."""
+    suffix = "/real_time"
+    return name[:-len(suffix)] if name.endswith(suffix) else name
+
+
 def load_benchmarks(path):
     with open(path) as f:
         data = json.load(f)
-    return {b["name"]: b for b in data.get("benchmarks", [])
+    return {registered_name(b["name"]): b for b in data.get("benchmarks", [])
             if b.get("run_type", "iteration") == "iteration"}
 
 

@@ -7,9 +7,22 @@
 namespace dpbr {
 namespace {
 
-// Set while the current thread is a pool worker executing a task; nested
-// ParallelFor calls then run inline instead of deadlocking the pool.
-thread_local bool t_in_pool_worker = false;
+// Pause iterations an idle thread spins before it parks: about 55 µs on
+// a Xeon whose `pause` takes ~27 ns. A count, not a deadline, because
+// src/ reads no clocks; it bridges the gap between the back-to-back
+// dispatches of one round without a futex wake.
+constexpr size_t kSpinIterations = 2000;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// True on pool workers and on a caller while it runs its share of a
+// dispatch; nested ParallelFor calls then run inline instead of waiting
+// on occupied threads.
+thread_local bool t_run_inline = false;
 
 // ScopedPoolOverride target; read by ThreadPool::Ambient().
 ThreadPool* g_pool_override = nullptr;
@@ -19,60 +32,120 @@ std::atomic<uint64_t> g_dispatch_count{0};
 
 }  // namespace
 
+// Protocol. A dispatch waits for inside_ to drain, rewrites the job,
+// opens the next epoch (odd), and closes it (even) once every index has
+// finished. A worker that loads an odd epoch announces itself in inside_
+// and then re-reads the epoch; only if it is unchanged does it read the
+// job. The closing store is followed by the next dispatch's inside_
+// loads, and the worker's inside_ increment by its epoch re-read, all
+// seq_cst: either the dispatcher sees the worker inside and waits, or
+// the worker sees the epoch moved and skips, so a late waker never runs
+// a half-written job. Parking uses the same store-then-load pairs
+// (epoch_/parked_, done_/caller_parked_), so a wakeup is sent, and a
+// mutex taken, only when a thread really parked.
+
 ThreadPool::ThreadPool(size_t num_threads) {
   DPBR_CHECK_GE(num_threads, 1u);
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+  workers_.reserve(num_threads - 1);
+  for (size_t i = 1; i < num_threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    std::lock_guard<std::mutex> lock(park_mu_);
+    stop_.store(true);
   }
-  cv_task_.notify_all();
-  for (auto& t : threads_) t.join();
+  work_cv_.notify_all();
+  for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DPBR_CHECK(!stop_);
-    queue_.push(std::move(task));
-    ++in_flight_;
+void ThreadPool::RunClaimed() noexcept {
+  size_t ran = 0;
+  for (;;) {
+    size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count_) break;
+    body_(begin_ + i);
+    ++ran;
   }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
+  if (ran == 0) return;
+  if (done_.fetch_add(ran) + ran == count_ && caller_parked_.load()) {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    done_cv_.notify_one();
+  }
 }
 
 void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
+  t_run_inline = true;
+  uint64_t seen = 0;
+  size_t spins = 0;
+  while (!stop_.load(std::memory_order_relaxed)) {
+    uint64_t e = epoch_.load();
+    if (e == seen) {
+      if (++spins < kSpinIterations) {
+        CpuRelax();
         continue;
       }
-      task = std::move(queue_.front());
-      queue_.pop();
+      std::unique_lock<std::mutex> lock(park_mu_);
+      parked_.fetch_add(1);
+      work_cv_.wait(lock, [&] { return epoch_.load() != seen || stop_; });
+      parked_.fetch_sub(1);
+      spins = 0;
+      continue;
     }
-    t_in_pool_worker = true;
-    task();
-    t_in_pool_worker = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
+    seen = e;
+    spins = 0;
+    if ((e & 1) == 0) continue;  // closed while this worker was away
+    inside_.fetch_add(1);
+    if (epoch_.load() == e) RunClaimed();
+    inside_.fetch_sub(1);
+  }
+}
+
+bool ThreadPool::Run(size_t begin, size_t count,
+                     FunctionRef<void(size_t)> body) {
+  if (busy_.exchange(true, std::memory_order_acquire)) return false;
+  // A worker still inside the previous (closed) job leaves it as soon as
+  // its next_ claim fails; wait for that before rewriting the job.
+  for (size_t spin = 0; inside_.load() != 0; ++spin) {
+    if (spin < kSpinIterations) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
     }
   }
+  body_ = body;
+  begin_ = begin;
+  count_ = count;
+  next_.store(0, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  const uint64_t e = epoch_.load(std::memory_order_relaxed) + 1;
+  epoch_.store(e);
+  if (parked_.load() != 0) {
+    // A parked worker holds park_mu_ from its predicate check until it
+    // waits, so taking the mutex here orders this notify after that.
+    std::lock_guard<std::mutex> lock(park_mu_);
+    work_cv_.notify_all();
+  }
+
+  t_run_inline = true;
+  RunClaimed();
+  t_run_inline = false;
+  for (size_t spin = 0; spin < kSpinIterations && done_.load() != count;
+       ++spin) {
+    CpuRelax();
+  }
+  if (done_.load() != count) {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    caller_parked_.store(true);
+    done_cv_.wait(lock, [&] { return done_.load() == count; });
+    caller_parked_.store(false);
+  }
+  // Every index has finished; workers that wake from here on skip it.
+  epoch_.store(e + 1);
+  busy_.store(false, std::memory_order_release);
+  return true;
 }
 
 ThreadPool& ThreadPool::Global() {
@@ -93,40 +166,16 @@ ScopedPoolOverride::ScopedPoolOverride(ThreadPool* pool)
 ScopedPoolOverride::~ScopedPoolOverride() { g_pool_override = prev_; }
 
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
+                 FunctionRef<void(size_t)> body) {
   if (end <= begin) return;
-  size_t n = end - begin;
-  if (n == 1 || pool.num_threads() == 1 || t_in_pool_worker) {
-    for (size_t i = begin; i < end; ++i) body(i);
-    return;
+  if (end - begin > 1 && pool.num_threads() > 1 && !t_run_inline) {
+    g_dispatch_count.fetch_add(1, std::memory_order_relaxed);
+    if (pool.Run(begin, end - begin, body)) return;
   }
-  g_dispatch_count.fetch_add(1, std::memory_order_relaxed);
-  // Static chunking: one contiguous block per thread keeps task overhead
-  // negligible relative to per-worker NN compute.
-  size_t num_chunks = std::min(n, pool.num_threads());
-  size_t chunk = (n + num_chunks - 1) / num_chunks;
-  size_t num_tasks = (n + chunk - 1) / chunk;
-  // `pending` is guarded by done_mu, and the final task notifies while
-  // still holding it: the waiter can neither miss the wakeup nor destroy
-  // these stack objects before the last worker is done touching them.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t pending = num_tasks;
-  for (size_t c = 0; c < num_tasks; ++c) {
-    size_t lo = begin + c * chunk;
-    size_t hi = std::min(end, lo + chunk);
-    pool.Submit([lo, hi, &body, &pending, &done_mu, &done_cv] {
-      for (size_t i = lo; i < hi; ++i) body(i);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&pending] { return pending == 0; });
+  for (size_t i = begin; i < end; ++i) body(i);
 }
 
-void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
+void ParallelFor(size_t begin, size_t end, FunctionRef<void(size_t)> body) {
   ParallelFor(ThreadPool::Ambient(), begin, end, body);
 }
 
@@ -135,7 +184,7 @@ uint64_t ParallelDispatchCount() {
 }
 
 void ParallelForBlocked(size_t total, size_t block_size,
-                        const std::function<void(size_t, size_t)>& body) {
+                        FunctionRef<void(size_t, size_t)> body) {
   if (total == 0) return;
   DPBR_CHECK_GE(block_size, 1u);
   size_t num_blocks = (total + block_size - 1) / block_size;

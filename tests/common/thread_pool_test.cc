@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,25 +14,124 @@
 namespace dpbr {
 namespace {
 
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+TEST(ThreadPoolTest, NumThreadsCountsTheCaller) {
+  for (size_t n : {1u, 2u, 8u}) {
+    ThreadPool pool(n);
+    EXPECT_EQ(pool.num_threads(), n);
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
+// 21k back-to-back dispatches with index counts cycling 1..17 and gaps
+// alternating between none (workers still spinning on the last job) and
+// ~100 us, past the spin budget (workers parked): a worker that wakes
+// late must never run a stale or half-published job, and no index may be
+// lost or repeated.
+TEST(ThreadPoolTest, PublishRaceStress) {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kCallsPerPool = 7000;
+  constexpr size_t kMaxCount = 17;
+  for (size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    std::array<std::atomic<int>, kMaxCount> hits{};
+    size_t bad_calls = 0;
+    for (size_t k = 0; k < kCallsPerPool; ++k) {
+      size_t n = 1 + k % kMaxCount;
+      size_t base = k % 5;
+      ParallelFor(pool, base, base + n,
+                  [&](size_t i) { hits[i - base].fetch_add(1); });
+      bool ok = true;
+      for (size_t i = 0; i < kMaxCount; ++i) {
+        ok &= hits[i].exchange(0) == (i < n ? 1 : 0);
+      }
+      if (!ok) ++bad_calls;
+      if (k % 2 == 1) {
+        // Not sleep_for: a sleep this short overshoots by its timer slack.
+        auto until = Clock::now() + std::chrono::microseconds(100);
+        while (Clock::now() < until) std::this_thread::yield();
+      }
+    }
+    EXPECT_EQ(bad_calls, 0u) << "pool " << threads;
+  }
+}
+
+// A ParallelFor issued from inside a body runs inline on that body's
+// thread and is not counted, whether the body runs on the caller or on a
+// worker, and whichever pool the nested call targets.
+TEST(ThreadPoolTest, NestedCallsRunInlineOnCallerAndWorker) {
   ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::array<bool, 2> on_caller{};
+  std::array<uint64_t, 2> nested_dispatches{};
+  std::array<bool, 2> nested_inline{};
+  uint64_t before = ParallelDispatchCount();
+  ParallelFor(pool, 0, 2, [&](size_t i) {
+    // Rendezvous: both indices run at once, so one is on the caller and
+    // the other on the pool's single worker.
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    const std::thread::id self = std::this_thread::get_id();
+    on_caller[i] = self == caller;
+    uint64_t d0 = ParallelDispatchCount();
+    bool same_thread = true;
+    ParallelFor(pool, 0, 8, [&](size_t) {
+      same_thread &= std::this_thread::get_id() == self;
+    });
+    ParallelFor(0, 8, [&](size_t) {
+      same_thread &= std::this_thread::get_id() == self;
+    });
+    nested_dispatches[i] = ParallelDispatchCount() - d0;
+    nested_inline[i] = same_thread;
+  });
+  EXPECT_EQ(ParallelDispatchCount() - before, 1u);
+  EXPECT_NE(on_caller[0], on_caller[1]);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(nested_dispatches[i], 0u) << "index " << i;
+    EXPECT_TRUE(nested_inline[i]) << "index " << i;
+  }
+}
+
+// Two threads outside the pool dispatching to it at the same time: the
+// one that finds it occupied runs inline, and both see exact coverage.
+TEST(ThreadPoolTest, ConcurrentExternalDispatchersBothCover) {
+  ThreadPool pool(4);
+  constexpr size_t kCalls = 2000;
+  constexpr size_t kN = 64;
+  std::array<size_t, 2> bad_calls{};
+  auto dispatcher = [&](size_t t) {
+    std::vector<std::atomic<int>> hits(kN);
+    for (size_t k = 0; k < kCalls; ++k) {
+      ParallelFor(pool, 0, kN, [&](size_t i) { hits[i].fetch_add(1); });
+      bool ok = true;
+      for (auto& h : hits) ok &= h.exchange(0) == 1;
+      if (!ok) ++bad_calls[t];
+    }
+  };
+  std::thread a(dispatcher, 0);
+  std::thread b(dispatcher, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_calls[0], 0u);
+  EXPECT_EQ(bad_calls[1], 0u);
+}
+
+// The destructor wakes parked workers and stops spinning ones.
+TEST(ThreadPoolTest, DestroysPromptlyWhetherWorkersParkOrSpin) {
+  using Clock = std::chrono::steady_clock;
+  for (bool parked : {true, false}) {
+    Clock::duration took{};
+    {
+      auto pool = std::make_unique<ThreadPool>(4);
+      std::vector<int> out(16);
+      ParallelFor(*pool, 0, out.size(), [&](size_t i) { out[i] = 1; });
+      // Far beyond the spin budget, so every worker has parked.
+      if (parked) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      auto t0 = Clock::now();
+      pool.reset();
+      took = Clock::now() - t0;
+    }
+    EXPECT_LT(took, std::chrono::seconds(1)) << "parked " << parked;
+  }
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
