@@ -7,7 +7,8 @@
 // Every layer bench drives a one-layer Sequential, so it times the same
 // stage driver the models use. Before timing, main() asserts the GEMM
 // conv is bit-identical under serial and parallel pools at the
-// acceptance shape, mirroring bench_micro's Krum determinism check.
+// acceptance shape, mirroring bench_micro's Krum determinism check, and
+// that the GEMM tile kernels equal the per-row loops they replaced.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "fl/worker.h"
@@ -307,6 +309,145 @@ void BM_GemmConvShape(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmConvShape)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
+// --- GEMM tile kernels at the cnn_gaussian conv shapes (its 8→8 conv,
+// k = 3, on a 14×14 map), each paired with a bench-side copy of the
+// per-row loop the tiles replaced: one axpy_f32 per (i, p) for NN/TN,
+// one dot8_f32 per element for NT. Both sides compute the same bits
+// (main() checks), so the ratio is the blocking alone.
+//   NN (forward):  C (8×196)  = W (8×72) · col (72×196)
+//   TN (dX panel): C (72×196) = Wᵀ · gy (8×196)
+//   NT (dW):       C (8×72)  += gy (8×196) · colᵀ
+constexpr size_t kCnnOut = 8;
+constexpr size_t kCnnCol = 72;
+constexpr size_t kCnnQ = 196;
+constexpr size_t kRowLoopPanelK = 64;  // the old k-panel height
+constexpr size_t kRowLoopTileN = 32;   // the old NT j-tile width
+
+void RowLoopNN(size_t m, size_t k, size_t n, const float* a, const float* b,
+               float* c) {
+  const simd::SimdKernels& kern = simd::Kernels();
+  std::fill(c, c + m * n, 0.0f);
+  for (size_t p0 = 0; p0 < k; p0 += kRowLoopPanelK) {
+    size_t p1 = std::min(k, p0 + kRowLoopPanelK);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t p = p0; p < p1; ++p) {
+        kern.axpy_f32(a[i * k + p], b + p * n, c + i * n, n);
+      }
+    }
+  }
+}
+
+// A is (k×m): C = Aᵀ·B.
+void RowLoopTN(size_t m, size_t k, size_t n, const float* a, const float* b,
+               float* c) {
+  const simd::SimdKernels& kern = simd::Kernels();
+  std::fill(c, c + m * n, 0.0f);
+  for (size_t p0 = 0; p0 < k; p0 += kRowLoopPanelK) {
+    size_t p1 = std::min(k, p0 + kRowLoopPanelK);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t p = p0; p < p1; ++p) {
+        kern.axpy_f32(a[p * m + i], b + p * n, c + i * n, n);
+      }
+    }
+  }
+}
+
+// B is (n×k): C += A·Bᵀ.
+void RowLoopNT(size_t m, size_t k, size_t n, const float* a, const float* b,
+               float* c) {
+  const simd::SimdKernels& kern = simd::Kernels();
+  for (size_t j0 = 0; j0 < n; j0 += kRowLoopTileN) {
+    size_t j1 = std::min(n, j0 + kRowLoopTileN);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = j0; j < j1; ++j) {
+        c[i * n + j] += kern.dot8_f32(a + i * k, b + j * k, k);
+      }
+    }
+  }
+}
+
+struct CnnGemmOperands {
+  std::vector<float> w = Gaussian(kCnnOut * kCnnCol, 41);
+  std::vector<float> col = Gaussian(kCnnCol * kCnnQ, 43);
+  std::vector<float> gy = Gaussian(kCnnOut * kCnnQ, 47);
+
+  static std::vector<float> Gaussian(size_t n, uint64_t seed) {
+    std::vector<float> v(n);
+    SplitRng rng(seed);
+    rng.FillGaussian(v.data(), n, 1.0);
+    return v;
+  }
+};
+
+void BM_GemmTileNNCnnShape(benchmark::State& state) {
+  CnnGemmOperands g;
+  std::vector<float> c(kCnnOut * kCnnQ);
+  for (auto _ : state) {
+    nn::GemmNNSerial(kCnnOut, kCnnCol, kCnnQ, g.w.data(), g.col.data(),
+                     c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCnnOut * kCnnCol * kCnnQ);
+}
+BENCHMARK(BM_GemmTileNNCnnShape)->Unit(benchmark::kMicrosecond);
+
+void BM_GemmRowLoopNNCnnShape(benchmark::State& state) {
+  CnnGemmOperands g;
+  std::vector<float> c(kCnnOut * kCnnQ);
+  for (auto _ : state) {
+    RowLoopNN(kCnnOut, kCnnCol, kCnnQ, g.w.data(), g.col.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCnnOut * kCnnCol * kCnnQ);
+}
+BENCHMARK(BM_GemmRowLoopNNCnnShape)->Unit(benchmark::kMicrosecond);
+
+void BM_GemmTileTNCnnShape(benchmark::State& state) {
+  CnnGemmOperands g;
+  std::vector<float> c(kCnnCol * kCnnQ);
+  for (auto _ : state) {
+    nn::GemmTNSerial(kCnnCol, kCnnOut, kCnnQ, g.w.data(), g.gy.data(),
+                     c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCnnOut * kCnnCol * kCnnQ);
+}
+BENCHMARK(BM_GemmTileTNCnnShape)->Unit(benchmark::kMicrosecond);
+
+void BM_GemmRowLoopTNCnnShape(benchmark::State& state) {
+  CnnGemmOperands g;
+  std::vector<float> c(kCnnCol * kCnnQ);
+  for (auto _ : state) {
+    RowLoopTN(kCnnCol, kCnnOut, kCnnQ, g.w.data(), g.gy.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCnnOut * kCnnCol * kCnnQ);
+}
+BENCHMARK(BM_GemmRowLoopTNCnnShape)->Unit(benchmark::kMicrosecond);
+
+void BM_GemmTileNTCnnShape(benchmark::State& state) {
+  CnnGemmOperands g;
+  std::vector<float> c(kCnnOut * kCnnCol);
+  for (auto _ : state) {
+    nn::GemmNTSerial(kCnnOut, kCnnQ, kCnnCol, g.gy.data(), g.col.data(),
+                     c.data(), /*accumulate=*/true);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCnnOut * kCnnCol * kCnnQ);
+}
+BENCHMARK(BM_GemmTileNTCnnShape)->Unit(benchmark::kMicrosecond);
+
+void BM_GemmRowLoopNTCnnShape(benchmark::State& state) {
+  CnnGemmOperands g;
+  std::vector<float> c(kCnnOut * kCnnCol);
+  for (auto _ : state) {
+    RowLoopNT(kCnnOut, kCnnQ, kCnnCol, g.gy.data(), g.col.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCnnOut * kCnnCol * kCnnQ);
+}
+BENCHMARK(BM_GemmRowLoopNTCnnShape)->Unit(benchmark::kMicrosecond);
+
 // Batched Linear forward at the e2e model shape (batch 16, 512→32).
 void BM_LinearForwardBatch(benchmark::State& state) {
   std::unique_ptr<nn::Sequential> linear =
@@ -565,10 +706,31 @@ void CheckConvDeterminism() {
       }
     }
   }
+  // The tile kernels and the per-row loops they replaced compute the
+  // same bits at the benched shapes.
+  CnnGemmOperands g;
+  std::vector<float> tile(kCnnCol * kCnnQ), loop(kCnnCol * kCnnQ);
+  nn::GemmNNSerial(kCnnOut, kCnnCol, kCnnQ, g.w.data(), g.col.data(),
+                   tile.data());
+  RowLoopNN(kCnnOut, kCnnCol, kCnnQ, g.w.data(), g.col.data(), loop.data());
+  if (!std::equal(tile.begin(), tile.begin() + kCnnOut * kCnnQ,
+                  loop.begin())) {
+    Fail("NN tile kernel differs from the per-row axpy loop");
+  }
+  nn::GemmTNSerial(kCnnCol, kCnnOut, kCnnQ, g.w.data(), g.gy.data(),
+                   tile.data());
+  RowLoopTN(kCnnCol, kCnnOut, kCnnQ, g.w.data(), g.gy.data(), loop.data());
+  if (tile != loop) Fail("TN tile kernel differs from the per-row axpy loop");
+  std::fill(tile.begin(), tile.end(), 0.5f);
+  std::fill(loop.begin(), loop.end(), 0.5f);
+  nn::GemmNTSerial(kCnnOut, kCnnQ, kCnnCol, g.gy.data(), g.col.data(),
+                   tile.data(), /*accumulate=*/true);
+  RowLoopNT(kCnnOut, kCnnQ, kCnnCol, g.gy.data(), g.col.data(), loop.data());
+  if (tile != loop) Fail("NT block kernel differs from the dot8 loop");
   std::fprintf(stderr,
                "conv determinism check: pools {1,2,%zu} bit-identical, "
                "naive agreement within 1e-4, batch fwd+bwd == "
-               "batch-of-1\n",
+               "batch-of-1, GEMM tiles == row loops\n",
                hw);
 }
 

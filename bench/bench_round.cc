@@ -85,7 +85,7 @@ void BM_AggregateArena(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(n * kDim));
   state.counters["tile_cols"] =
-      static_cast<double>(agg::SelectionTileWidth(n));
+      static_cast<double>(agg::SelectionTileWidth(n, kDim));
 }
 BENCHMARK(BM_AggregateArena)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 
@@ -95,7 +95,7 @@ BENCHMARK(BM_AggregateArena)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 // determinism regression fails the bench smoke job loudly.
 void CheckArenaLegacyIdentity() {
   constexpr size_t n = 1000;
-  constexpr size_t dim = 1300;  // > SelectionTileWidth(1000) → 2 tiles
+  constexpr size_t dim = 1300;  // SelectionTileWidth(1000, 1300) → 16 tiles
   fl::UploadArena arena;
   arena.Reset(n, dim);
   std::vector<std::vector<float>> legacy(n, std::vector<float>(dim));

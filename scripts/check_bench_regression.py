@@ -147,6 +147,34 @@ RATIO_GATES = [
         0.9,
         "fused CNN fwd+bwd step >= per-layer loop (parity floor)",
     ),
+    # Register-blocked GEMM tiles (bench_nn.cc) at the cnn_gaussian conv
+    # shapes, each against a bench-side copy of the per-row loop it
+    # replaced: one axpy_f32 per (i, p) for NN/TN, one dot8_f32 per
+    # element for NT. Both sides compute the same bits (bench_nn checks
+    # at startup), so the ratio is the blocking alone. A 4-core AVX-512
+    # Xeon container measured NN ~3.1-3.3x, TN ~2.6x and NT ~2.1-2.5x.
+    # NT keeps every dot8 multiply and add (never FMA): forced to the
+    # AVX2 2x4 kernel the same host measured 1.4-1.7x, since there only
+    # loads, calls and scalar tails go, so the NT floor is thin on
+    # AVX2-only hosts with 2-cycle float adds.
+    (
+        "BM_GemmRowLoopNNCnnShape",
+        "BM_GemmTileNNCnnShape",
+        1.5,
+        "NN GEMM tile >= 1.5x the per-row axpy loop (conv forward)",
+    ),
+    (
+        "BM_GemmRowLoopTNCnnShape",
+        "BM_GemmTileTNCnnShape",
+        1.5,
+        "TN GEMM tile >= 1.5x the per-row axpy loop (conv dX)",
+    ),
+    (
+        "BM_GemmRowLoopNTCnnShape",
+        "BM_GemmTileNTCnnShape",
+        1.5,
+        "NT GEMM block >= 1.5x the per-element dot8 loop (conv dW)",
+    ),
     # SIMD-vs-scalar floors for the dispatched kernel layer
     # (bench_simd.cc): each pair runs the same kernel on the best
     # detected tier and pinned to the scalar reference, so the ratio is

@@ -27,9 +27,17 @@ class CoordinateMedianAggregator : public Aggregator {
 };
 
 /// Shape-only tile width for the column-major gather used by the
-/// coordinate-selection rules: as many columns as fit the scratch budget
-/// (n floats per column), clamped to [1, 1024]. Exposed for tests.
-size_t SelectionTileWidth(size_t n);
+/// coordinate-selection rules over n rows of d coordinates: at most as
+/// many columns as fit the scratch budget (n floats per column) and
+/// 1024, and narrow enough that d splits into at least 16 tiles unless
+/// a tile would then gather fewer than 8192 floats. Depends on (n, d)
+/// only, never on data or pool size. Exposed for tests.
+size_t SelectionTileWidth(size_t n, size_t d);
+
+/// The calling thread's grow-only selection tile scratch, at least `n`
+/// floats. Valid until the thread's next call; dispatch bodies use it
+/// for their gathered tile instead of allocating.
+float* SelectionScratch(size_t n);
 
 }  // namespace agg
 }  // namespace dpbr

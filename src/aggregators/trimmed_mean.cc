@@ -27,19 +27,18 @@ Result<std::vector<float>> TrimmedMeanAggregator::Aggregate(
   std::vector<float> out(ctx.dim);
   // Chunked column-major tiles (see median.cc): gather `width` contiguous
   // columns into scratch, then sort and trim each column independently.
-  size_t width = SelectionTileWidth(n);
+  size_t width = SelectionTileWidth(n, ctx.dim);
   const simd::SimdKernels& kern = simd::Kernels();
   ParallelForBlocked(ctx.dim, width, [&](size_t lo, size_t hi) {
     size_t cols = hi - lo;
-    std::vector<float> tile(cols * n);
+    float* tile = SelectionScratch(cols * n);
     // Strided-transpose gather (bitwise by construction), then the
     // surviving slice sums through the pinned 8-lane fold — the value
     // depends only on (n, k), never on the pool size or the dispatch
     // tier.
-    kern.transpose_f32(uploads.Row(0) + lo, uploads.dim, n, cols,
-                       tile.data(), n);
+    kern.transpose_f32(uploads.Row(0) + lo, uploads.dim, n, cols, tile, n);
     for (size_t j = lo; j < hi; ++j) {
-      float* column = tile.data() + (j - lo) * n;
+      float* column = tile + (j - lo) * n;
       std::sort(column, column + n);
       double s = kern.sum8_f64(column + k, n - 2 * k);
       out[j] = static_cast<float>(s / static_cast<double>(n - 2 * k));

@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -36,9 +37,86 @@ DPBR_NOVEC_FN void ScalarAxpyF32(float a, const float* x, float* y,
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-DPBR_NOVEC_FN void ScalarAddF32(const float* x, float* y, size_t n) {
-  DPBR_NOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) y[i] += x[i];
+DPBR_NOVEC_FN void ScalarIm2ColF32(const float* x, size_t channels, size_t h,
+                                   size_t w, size_t kernel, size_t pad,
+                                   float* col) {
+  size_t oh = h + 2 * pad - kernel + 1;
+  size_t ow = w + 2 * pad - kernel + 1;
+  size_t q = oh * ow;  // columns per row
+  for (size_t ic = 0; ic < channels; ++ic) {
+    const float* plane = x + ic * h * w;
+    for (size_t kh = 0; kh < kernel; ++kh) {
+      for (size_t kw = 0; kw < kernel; ++kw) {
+        float* row = col + ((ic * kernel + kh) * kernel + kw) * q;
+        // Valid output columns j satisfy 0 <= j + kw - pad < w.
+        size_t j_lo = pad > kw ? pad - kw : 0;
+        size_t j_hi = w + pad > kw ? std::min(ow, w + pad - kw) : 0;
+        for (size_t i = 0; i < oh; ++i) {
+          float* dst = row + i * ow;
+          // Input row i + kh - pad feeds output row i through (kh, kw).
+          if (i + kh < pad || i + kh - pad >= h || j_lo >= j_hi) {
+            std::memset(dst, 0, ow * sizeof(float));
+            continue;
+          }
+          std::memset(dst, 0, j_lo * sizeof(float));
+          std::memcpy(dst + j_lo, plane + (i + kh - pad) * w + j_lo + kw - pad,
+                      (j_hi - j_lo) * sizeof(float));
+          std::memset(dst + j_hi, 0, (ow - j_hi) * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+// Tap by tap (kh, kw), then output row by output row: the order in
+// which every dx element receives its contributions.
+DPBR_NOVEC_FN void ScalarCol2ImF32(const float* col, size_t channels,
+                                   size_t h, size_t w, size_t kernel,
+                                   size_t pad, float* dx) {
+  size_t oh = h + 2 * pad - kernel + 1;
+  size_t ow = w + 2 * pad - kernel + 1;
+  size_t q = oh * ow;
+  for (size_t ic = 0; ic < channels; ++ic) {
+    float* plane = dx + ic * h * w;
+    for (size_t kh = 0; kh < kernel; ++kh) {
+      // Output rows i whose input row i + kh - pad lies inside the image.
+      size_t i_lo = pad > kh ? pad - kh : 0;
+      size_t i_hi = h + pad > kh ? std::min(oh, h + pad - kh) : 0;
+      for (size_t kw = 0; kw < kernel; ++kw) {
+        size_t j_lo = pad > kw ? pad - kw : 0;
+        size_t j_hi = w + pad > kw ? std::min(ow, w + pad - kw) : 0;
+        const float* tap = col + ((ic * kernel + kh) * kernel + kw) * q;
+        for (size_t i = i_lo; i < i_hi; ++i) {
+          const float* src = tap + i * ow;
+          float* dst = plane + (i + kh - pad) * w;
+          DPBR_NOVEC_LOOP
+          for (size_t j = j_lo; j < j_hi; ++j) dst[j + kw - pad] += src[j];
+        }
+      }
+    }
+  }
+}
+
+// The GEMM tile reference: the row-major axpy sequence itself. Row i of
+// C is set to its start value, then gets c = c + A(i,p)·B(p,j) for
+// ascending p — the definition every blocked tier reproduces per element.
+DPBR_NOVEC_FN void ScalarGemmAccF32(size_t m, size_t n, size_t k,
+                                    const float* a, size_t a_row_stride,
+                                    size_t a_col_stride, const float* b,
+                                    size_t ldb, float* c, size_t ldc,
+                                    const float* row_init, bool accumulate) {
+  for (size_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    if (!accumulate) {
+      float start = row_init != nullptr ? row_init[i] : 0.0f;
+      DPBR_NOVEC_LOOP
+      for (size_t j = 0; j < n; ++j) crow[j] = start;
+    }
+    for (size_t p = 0; p < k; ++p) {
+      ScalarAxpyF32(a[i * a_row_stride + p * a_col_stride], b + p * ldb, crow,
+                    n);
+    }
+  }
 }
 
 DPBR_NOVEC_FN void ScalarScaleF32(float a, float* y, size_t n) {
@@ -69,6 +147,19 @@ DPBR_NOVEC_FN float ScalarDot8F32(const float* x, const float* y,
   float s45 = acc[4] + acc[5];
   float s67 = acc[6] + acc[7];
   return (s01 + s23) + (s45 + s67);
+}
+
+DPBR_NOVEC_FN void ScalarGemmNtF32(size_t m, size_t n, size_t k,
+                                   const float* a, size_t lda, const float* b,
+                                   size_t ldb, float* c, size_t ldc,
+                                   bool accumulate) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float d = ScalarDot8F32(a + i * lda, b + j * ldb, k);
+      float* out = c + i * ldc + j;
+      *out = accumulate ? *out + d : d;
+    }
+  }
 }
 
 DPBR_NOVEC_FN double ScalarDistSq8F64(const float* a, const float* b,
@@ -209,7 +300,10 @@ const SimdKernels& ScalarTable() {
   static const SimdKernels table = {
       /*isa=*/IsaLevel::kScalar,
       /*axpy_f32=*/&ScalarAxpyF32,
-      /*add_f32=*/&ScalarAddF32,
+      /*im2col_f32=*/&ScalarIm2ColF32,
+      /*col2im_f32=*/&ScalarCol2ImF32,
+      /*gemm_acc_f32=*/&ScalarGemmAccF32,
+      /*gemm_nt_f32=*/&ScalarGemmNtF32,
       /*scale_f32=*/&ScalarScaleF32,
       /*add_scalar_f32=*/&ScalarAddScalarF32,
       /*dot8_f32=*/&ScalarDot8F32,

@@ -13,8 +13,9 @@
 //    kernel must produce bit-identical output to its scalar twin — the
 //    equivalence suite (tests/common/simd_test.cc) enforces this on every
 //    ISA the host supports, including NaN/±0/denormal/±Inf payloads.
-//  * Element-wise kernels (axpy, activations, GroupNorm sweeps) vectorize
-//    without reassociating anything, so bitwise equality is structural.
+//  * Element-wise kernels (axpy, activations, GroupNorm sweeps, the GEMM
+//    tiles, im2col/col2im) vectorize without reassociating anything, so
+//    bitwise equality is structural.
 //  * Reduction kernels (dot8/distsq8/sum8) use a PINNED 8-lane fold:
 //    lane l accumulates elements with index ≡ l (mod 8) and the lanes
 //    combine in a fixed tree, regardless of the ISA's native width. The
@@ -67,8 +68,43 @@ struct SimdKernels {
   /// every accumulation chain matches the scalar reference bitwise.
   void (*axpy_f32)(float a, const float* x, float* y, size_t n);
 
-  /// y[i] += x[i].
-  void (*add_f32)(const float* x, float* y, size_t n);
+  /// im2col: expands the (C, h, w) image x into the (C·k·k) × (OH·OW)
+  /// column matrix of a stride-1 convolution with symmetric zero padding
+  /// `pad` (row (ic, kh, kw), column (oh, ow); taps outside the image are
+  /// +0). Pure data movement.
+  void (*im2col_f32)(const float* x, size_t channels, size_t h, size_t w,
+                     size_t kernel, size_t pad, float* col);
+
+  /// col2im: scatter-adds the (C·k·k) × (OH·OW) column matrix of a
+  /// stride-1 convolution with symmetric zero padding `pad` onto the
+  /// (C, h, w) image `dx` (the adjoint of im2col). Each dx element takes
+  /// its contributions in ascending (kh, kw) tap order, one add each,
+  /// starting from its current value.
+  void (*col2im_f32)(const float* col, size_t channels, size_t h, size_t w,
+                     size_t kernel, size_t pad, float* dx);
+
+  /// Register-blocked GEMM tile: for i < m, j < n,
+  ///   C[i·ldc + j] = start + Σ_{p<k} A(i,p)·B[p·ldb + j],
+  /// with A(i,p) = a[i·a_row_stride + p·a_col_stride] (so one kernel
+  /// reads A or Aᵀ). `start` is C's current value when `accumulate`,
+  /// else row_init[i] when row_init is non-null, else +0. Every element
+  /// runs exactly the axpy sequence c = c + A(i,p)·B(p,j) — multiply,
+  /// then add, never fused — in ascending p; only the blocking (C held
+  /// in registers across the p loop) differs from one axpy per (i, p).
+  void (*gemm_acc_f32)(size_t m, size_t n, size_t k, const float* a,
+                       size_t a_row_stride, size_t a_col_stride,
+                       const float* b, size_t ldb, float* c, size_t ldc,
+                       const float* row_init, bool accumulate);
+
+  /// Dot-product GEMM block kernel: for i < m, j < n,
+  ///   d = dot8_f32(a + i·lda, b + j·ldb, k),
+  ///   C[i·ldc + j] = accumulate ? C[i·ldc + j] + d : d.
+  /// Blocks of outputs share their A and B loads, but every output keeps
+  /// its own pinned 8-lane accumulator, tail and fold tree, so each value
+  /// equals the dot8_f32 call bit for bit.
+  void (*gemm_nt_f32)(size_t m, size_t n, size_t k, const float* a,
+                      size_t lda, const float* b, size_t ldb, float* c,
+                      size_t ldc, bool accumulate);
 
   /// y[i] *= a.
   void (*scale_f32)(float a, float* y, size_t n);

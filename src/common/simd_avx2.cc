@@ -146,6 +146,10 @@ void Avx2TransposeF32(const float* src, size_t src_stride, size_t rows,
   }
 }
 
+// 2 × 4 output blocks: eight accumulators plus two A and one B vector
+// stay within the sixteen ymm registers.
+using Nt = detail::GemmNt8<detail::Lanes8Avx2, 2, 4>;
+
 // ---- Vectorized ziggurat fast path -----------------------------------
 //
 // The SplitMix64 generator is a pure function of (key, counter), so a
@@ -265,7 +269,10 @@ const SimdKernels* detail::Avx2Table() {
     SimdKernels t = base != nullptr ? *base : ScalarTable();
     t.isa = IsaLevel::kAvx2;
     t.axpy_f32 = &K8::AxpyF32;
-    t.add_f32 = &K8::AddF32;
+    t.im2col_f32 = &K8::Im2ColF32;
+    t.col2im_f32 = &K8::Col2ImF32;
+    t.gemm_acc_f32 = &K8::GemmAccF32;
+    t.gemm_nt_f32 = &Nt::Run;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.dot8_f32 = &Avx2Dot8F32;

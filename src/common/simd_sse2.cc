@@ -16,6 +16,34 @@ namespace {
 
 using K8 = detail::Kernels8<detail::TraitsSse2>;
 
+// The 8 fold lanes of one dot8 accumulator as two __m128 (lanes 0..3 and
+// 4..7), exactly as in Sse2Dot8F32.
+struct Lanes8Sse2 {
+  struct V {
+    __m128 lo;
+    __m128 hi;
+  };
+  static constexpr bool kVectorEpilogue = false;
+
+  static V Zero() { return {_mm_setzero_ps(), _mm_setzero_ps()}; }
+  static V Load(const float* p) {
+    return {_mm_loadu_ps(p), _mm_loadu_ps(p + 4)};
+  }
+  static V Add(V a, V b) {
+    return {_mm_add_ps(a.lo, b.lo), _mm_add_ps(a.hi, b.hi)};
+  }
+  static V Mul(V a, V b) {
+    return {_mm_mul_ps(a.lo, b.lo), _mm_mul_ps(a.hi, b.hi)};
+  }
+  static void Store(float* p, V v) {
+    _mm_storeu_ps(p, v.lo);
+    _mm_storeu_ps(p + 4, v.hi);
+  }
+};
+
+// 1 × 4 output blocks: eight xmm accumulators, two A and two B halves.
+using Nt = detail::GemmNt8<Lanes8Sse2, 1, 4>;
+
 // Pinned 8-lane fold with two 4-float accumulators: acc_lo carries lanes
 // 0..3, acc_hi lanes 4..7. Lanes spill to an array and combine in the
 // reference scalar tree, so the result matches ScalarDot8F32 bitwise.
@@ -143,7 +171,8 @@ const SimdKernels* detail::Sse2Table() {
     SimdKernels t = ScalarTable();
     t.isa = IsaLevel::kSse2;
     t.axpy_f32 = &K8::AxpyF32;
-    t.add_f32 = &K8::AddF32;
+    t.gemm_acc_f32 = &K8::GemmAccF32;
+    t.gemm_nt_f32 = &Nt::Run;
     t.scale_f32 = &K8::ScaleF32;
     t.add_scalar_f32 = &K8::AddScalarF32;
     t.dot8_f32 = &Sse2Dot8F32;
@@ -157,6 +186,8 @@ const SimdKernels* detail::Sse2Table() {
     t.gnorm_dx_f32 = &K8::GNormDxF32;
     t.all_finite_f32 = &K8::AllFiniteF32;
     t.transpose_f32 = &Sse2TransposeF32;
+    // im2col_f32 and col2im_f32 stay scalar: their vector forms need
+    // masked loads and stores.
     // zig_try_fill_f32 stays null: without gathers the batch kernel is
     // not faster than the scalar rejection loop.
     return t;

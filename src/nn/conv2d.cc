@@ -131,12 +131,11 @@ void Conv2d::FuseForwardAnchor(size_t ex, const float* x, float* y,
   if (kernel_ == Conv2dKernel::kNaive) {
     NaiveForwardOne(cached, h_, w_, y);
   } else {
-    // Batch-1 batched GEMM: runs inline inside the stage's dispatch, the
-    // im2col panel expanded into per-thread scratch and consumed hot.
-    GemmBatchedNN(out_ch_, kk_, q_, 1, weight_.data(), y, bias_.data(),
-                  [&](size_t, float* col) {
-                    Im2Col(cached, in_ch_, h_, w_, k_, pad_, col);
-                  });
+    // Serial im2col + GEMM inside the stage's task: the column panel is
+    // per-thread scratch, consumed while hot.
+    float* col = ThreadPanel(kPanelSlotConvCol, kk_ * q_);
+    Im2Col(cached, in_ch_, h_, w_, k_, pad_, col);
+    GemmNNSerial(out_ch_, kk_, q_, weight_.data(), col, y, bias_.data());
   }
   // The group's post-ops, on the output block while its tiles are hot.
   chain.Apply(ex, y);
@@ -159,18 +158,15 @@ void Conv2d::FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
     NaiveBackwardOne(x_ex, gy, h_, w_, wgrad, wgrad + weight_.size(), gx);
     return;
   }
-  // dW row, bias row sums, then the col2im'd dX panel product.
-  GemmBatchedNT(out_ch_, q_, kk_, 1, gy, 0,
-                [&](size_t, float* col) {
-                  Im2Col(x_ex, in_ch_, h_, w_, k_, pad_, col);
-                },
-                [&](size_t) { return wgrad; },
-                /*accumulate=*/true);
+  // dW row (gy · im2colᵀ onto the sink row), bias row sums, then the dX
+  // column gradient Wᵀ · gy — written over the dead im2col panel — which
+  // col2im scatters onto gx. All serial, inside the stage's task.
+  float* col = ThreadPanel(kPanelSlotConvCol, kk_ * q_);
+  Im2Col(x_ex, in_ch_, h_, w_, k_, pad_, col);
+  GemmNTSerial(out_ch_, q_, kk_, gy, col, wgrad, /*accumulate=*/true);
   AccumulateBiasRowSums(gy, out_ch_, q_, wgrad + weight_.size());
-  GemmBatchedTN(kk_, out_ch_, q_, 1, weight_.data(), gy, 0,
-                [&](size_t, const float* dcol) {
-                  Col2ImAccumulate(dcol, in_ch_, h_, w_, k_, pad_, gx);
-                });
+  GemmTNSerial(kk_, out_ch_, q_, weight_.data(), gy, col);
+  Col2ImAccumulate(col, in_ch_, h_, w_, k_, pad_, gx);
 }
 
 std::vector<ParamView> Conv2d::Params() {

@@ -1,11 +1,11 @@
 // 2-d convolution on (C, H, W) examples, a stage anchor (nn/layer.h).
 //
 // The production kernel lowers each example's convolution to im2col +
-// blocked GEMM (src/nn/gemm.h): the forward anchor is a batch-1
-// GemmBatchedNN, the backward anchor a batch-1 GemmBatchedNT (dW into
-// the example's PerExampleGradSink row) plus a batch-1 GemmBatchedTN
-// scattered by col2im (dX). Both run inline inside the stage's
-// per-example task, with the im2col panels in per-thread scratch. The
+// register-blocked GEMM (src/nn/gemm.h): the forward anchor is one
+// GemmNNSerial, the backward anchor a GemmNTSerial (dW into the
+// example's PerExampleGradSink row) plus a GemmTNSerial scattered by
+// col2im (dX). Both run serially inside the stage's per-example task,
+// with the column panel in per-thread scratch. The
 // original direct loop nest is kept as an independent reference kernel
 // (`Conv2dKernel::kNaive`) behind the same hooks, which
 // tests/nn/kernel_equivalence_test.cc checks the GEMM kernel against.

@@ -1,5 +1,6 @@
 #include "nn/fusion.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -105,7 +106,8 @@ Tensor FusedStage::ForwardBatch(const Tensor& x) {
 }
 
 Tensor FusedStage::BackwardBatch(const Tensor& grad_out,
-                                 const PerExampleGradSink& sink) {
+                                 const PerExampleGradSink& sink,
+                                 bool zero_rows) {
   if (!prepared_) {
     DPBR_LOG_STREAM(Fatal)
         << "cached-state contract violated — stage backward, but no "
@@ -140,6 +142,9 @@ Tensor FusedStage::BackwardBatch(const Tensor& grad_out,
     float* pa = ThreadPanel(kPanelSlotFusedBwdA, max_panel);
     float* pb = ThreadPanel(kPanelSlotFusedBwdB, max_panel);
     for (size_t ex = e0; ex < e1; ++ex) {
+      if (zero_rows) {
+        std::fill_n(sink.base + ex * sink.stride, sink.stride, 0.0f);
+      }
       const float* curg = gyd + ex * out_stride_;
       const float* cur_buf = nullptr;  // which panel curg lives in, if any
       for (size_t g = ngroups; g-- > 0;) {
@@ -256,15 +261,18 @@ Tensor FusionPlan::ForwardBatch(const Tensor& x) {
 }
 
 Tensor FusionPlan::BackwardBatch(const Tensor& grad_out,
-                                 const PerExampleGradSink& sink) {
+                                 const PerExampleGradSink& sink,
+                                 bool zero_rows) {
   const Tensor* in = &grad_out;
   Tensor g;
   for (size_t i = steps_.size(); i-- > 0;) {
     Step& s = steps_[i];
+    // Only the first step to run clears the rows; later ones accumulate.
+    bool zero = zero_rows && i + 1 == steps_.size();
     if (s.stage) {
-      g = s.stage->BackwardBatch(*in, sink);
+      g = s.stage->BackwardBatch(*in, sink, zero);
     } else {
-      Tensor dx = s.residual_body->BackwardBatch(*in, sink);
+      Tensor dx = s.residual_body->BackwardBatch(*in, sink, zero);
       DPBR_CHECK(dx.SameShape(*in));
       for (size_t j = 0; j < dx.size(); ++j) dx[j] += (*in)[j];
       g = std::move(dx);

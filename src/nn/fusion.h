@@ -69,8 +69,12 @@ class FusedStage {
   Tensor ForwardBatch(const Tensor& x);
 
   /// Whole-stage backward; requires this stage's ForwardBatch to have
-  /// prepared the geometry.
-  Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink);
+  /// prepared the geometry. With `zero_rows`, each example's whole sink
+  /// row (sink.stride floats) is zeroed inside that example's task
+  /// before anything accumulates into it, so the thread that fills a row
+  /// is the one that cleared it.
+  Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink,
+                       bool zero_rows = false);
 
  private:
   // Stable bound callable an EpilogueOp (FunctionRef) can point at for
@@ -119,7 +123,10 @@ class FusionPlan {
                                            size_t base_offset = 0);
 
   Tensor ForwardBatch(const Tensor& x);
-  Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink);
+  /// Backward through every step in reverse; `zero_rows` goes to the
+  /// first stage that runs (see FusedStage::BackwardBatch).
+  Tensor BackwardBatch(const Tensor& grad_out, const PerExampleGradSink& sink,
+                       bool zero_rows = false);
 
  private:
   struct Step {

@@ -1,17 +1,12 @@
-// Cache-blocked, threaded GEMM primitives and the per-layer workspace
-// arena the nn compute layer runs on.
+// Register-blocked GEMM primitives, im2col/col2im, and the scratch
+// arenas the nn compute layer runs on.
 //
-// Every kernel is deterministic under any thread-pool size: work is split
-// across rows of the output matrix with block boundaries derived from the
-// problem shape only, and each output element accumulates its products in
-// a fixed order chosen by the kernel, never by the schedule. Calling the
-// same kernel under pool sizes 1, 2 and N therefore yields bit-identical
-// results (the contract tests/nn/kernel_equivalence_test.cc enforces).
-//
-// Hooks are FunctionRef, not std::function: the batched kernels invoke
-// them synchronously inside dispatch bodies, so the call sites construct
-// a two-word borrow instead of a possibly-allocating wrapper (the
-// hot-path lint bans allocation inside ParallelFor bodies).
+// Every kernel is deterministic under any thread-pool size: each output
+// element accumulates its products in a fixed order chosen by the
+// kernel, never by the schedule, and the one parallel kernel (GemmNN)
+// splits work by the problem shape only. Calling the same kernel under
+// pool sizes 1, 2 and N therefore yields bit-identical results (the
+// contract tests/nn/kernel_equivalence_test.cc enforces).
 //
 // Layers call these kernels through a Workspace they own, so hot-loop
 // invocations reuse grow-only scratch buffers instead of allocating.
@@ -22,8 +17,6 @@
 #include <cstddef>
 #include <deque>
 #include <vector>
-
-#include "common/function_ref.h"
 
 namespace dpbr {
 namespace nn {
@@ -52,30 +45,39 @@ class Workspace {
 
 // --- Per-thread panel arena -----------------------------------------
 //
-// The batched kernels and the fused-stage drivers stream transient
+// Conv2d's anchors and the fused-stage drivers stream transient
 // per-example panels through per-thread grow-only scratch: one buffer
 // per (thread, slot), reused across examples and dispatches, never
 // shrunk. Panel contents never outlive the example that filled them, so
 // the sharing cannot change any output bit. The slot map keeps nested
-// callers disjoint — a fused driver panel is never the panel a nested
-// batch-1 batched kernel fills inside it.
+// callers disjoint — a fused driver panel is never the column panel a
+// Conv2d anchor fills inside it.
 
-/// Slots used internally by GemmBatchedNN / GemmBatchedNT /
-/// GemmBatchedTN for their streamed operand panels.
-constexpr size_t kPanelSlotNNFill = 0;
-constexpr size_t kPanelSlotNTFill = 1;
-constexpr size_t kPanelSlotTNOut = 2;
+/// Conv2d's column panel: the im2col matrix of the forward and of the
+/// backward dW product, then the backward's dX column gradient (one
+/// use at a time, each dead before the next fills it).
+constexpr size_t kPanelSlotConvCol = 0;
 /// Ping-pong activation panels of the fused forward driver
 /// (nn::FusedStage), and gradient panels of the fused backward driver.
-constexpr size_t kPanelSlotFusedFwdA = 3;
-constexpr size_t kPanelSlotFusedFwdB = 4;
-constexpr size_t kPanelSlotFusedBwdA = 5;
-constexpr size_t kPanelSlotFusedBwdB = 6;
+constexpr size_t kPanelSlotFusedFwdA = 1;
+constexpr size_t kPanelSlotFusedFwdB = 2;
+constexpr size_t kPanelSlotFusedBwdA = 3;
+constexpr size_t kPanelSlotFusedBwdB = 4;
 
 /// Returns the calling thread's panel `slot` grown to at least `n`
 /// floats. Grow-only and thread-local: after warm-up no call allocates,
 /// which is what lets dispatch bodies use it freely.
 float* ThreadPanel(size_t slot, size_t n);
+
+// --- GEMM ------------------------------------------------------------
+//
+// Every product runs through the active SIMD table's register-blocked
+// kernels (common/simd.h): gemm_acc_f32 for the NN and TN layouts,
+// gemm_nt_f32 for NT. Per element, the NN/TN value is its start value
+// plus A(i,p)·B(p,j) added in ascending p (mul, then add), and the NT
+// value is dot8_f32 of the two rows — so results never depend on the
+// blocking, the pool size or the dispatch tier. The serial kernels run
+// inside a stage's per-example task and never touch the pool.
 
 /// C (m×n) = A (m×k) · B (k×n), all row-major. When `row_init` is
 /// non-null, row i of C starts from the scalar row_init[i] (broadcast
@@ -84,86 +86,29 @@ float* ThreadPanel(size_t slot, size_t n);
 /// runs over p = 0..k-1 in ascending order (float accumulators, so the
 /// result is reproducible but differs from a double-accumulated naive
 /// loop in the last bits; the equivalence test bounds the gap at 1e-4).
+/// Parallel over (row block, column tile) pairs split by shape only.
 void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
             float* c, const float* row_init = nullptr);
 
-/// Serial single-row NN GEMM: c (1×n) = a (1×k) · B (k×n), with row 0 of
-/// c starting from the scalar row_init[0] when non-null. Runs the same
-/// tile kernel GemmNN dispatches, so the per-element ascending-p values
-/// are bitwise identical to GemmNN(1, k, n, ...) — the primitive for
-/// one Linear dX row computed inside a stage's per-example task.
-void GemmNNSerialRow(size_t k, size_t n, const float* a, const float* b,
-                     float* c, const float* row_init = nullptr);
+/// Serial GemmNN: the same per-element values, bit for bit, on the
+/// calling thread. Conv2d's forward (weights · im2col panel) and
+/// Linear's dX row (m = 1).
+void GemmNNSerial(size_t m, size_t k, size_t n, const float* a,
+                  const float* b, float* c, const float* row_init = nullptr);
 
-/// Serial single-row NT GEMM: c (1×n) = a (1×k) · Bᵀ for row-major B
-/// (n×k). Each element is a dot product of two unit-stride rows,
-/// accumulated in eight fixed interleaved partial sums (lane l takes
-/// p ≡ l mod 8) combined in lane order — deterministic and SIMD-friendly
-/// without -ffast-math. The forward primitive for one Linear output row
-/// computed inside a stage's per-example task.
-void GemmNTSerialRow(size_t k, size_t n, const float* a, const float* b,
-                     float* c);
+/// Serial C (m×n) (+)= A (m×k) · Bᵀ for row-major B (n×k). Each element
+/// is dot8_f32 of two unit-stride rows — eight fixed interleaved partial
+/// sums (lane l takes p ≡ l mod 8) combined in a fixed tree — added onto
+/// C when `accumulate`. Conv2d's dW (gy · im2colᵀ onto the example's
+/// PerExampleGradSink row) and Linear's forward row (m = 1).
+void GemmNTSerial(size_t m, size_t k, size_t n, const float* a,
+                  const float* b, float* c, bool accumulate = false);
 
-/// Batched NN GEMM sharing one left operand: for each ex in [0, batch),
-/// C_ex (m×n) = A (m×k) · B_ex (k×n) with C_ex = c + ex·m·n. Bitwise
-/// identical to calling GemmNN per example — same per-element
-/// ascending-p accumulation — but the whole batch is one parallel
-/// dispatch (one pool barrier instead of `batch`) split across examples
-/// by the shape only, so it is pool-size invariant like every other
-/// kernel here. The right operands are streamed, not materialized:
-/// fill_panel(ex, panel) is called inside example ex's task to write the
-/// k×n matrix B_ex into `panel`, a per-thread grow-only scratch buffer
-/// that is consumed immediately while cache-hot (its contents are
-/// transient, so sharing it per thread cannot affect results). This is
-/// the conv forward kernel: fill_panel is Im2Col and C the example's
-/// (OC, OH·OW) output block written in place.
-void GemmBatchedNN(size_t m, size_t k, size_t n, size_t batch,
-                   const float* a, float* c, const float* row_init,
-                   FunctionRef<void(size_t ex, float* panel)> fill_panel);
-
-// --- Batched backward GEMM stack ------------------------------------
-//
-// The backward twins of GemmBatchedNN: each runs a whole microbatch of
-// per-example panel GEMMs as ONE parallel dispatch, split across
-// examples by the shape only (pool-size invariant), with the per-example
-// product computed serially inside the task in the exact per-element
-// accumulation order of the serial row kernels — so every example's
-// result is independent of the batch and the pool size. Panels live in
-// grow-only per-thread scratch that never outlives its example.
-//
-// Composition contract: at batch == 1 these drivers never touch the pool
-// (ParallelFor's single-iteration inline path), so they are dispatch-
-// free when called from inside a stage's per-example task. That is how
-// Conv2d's backward anchor runs dW into its PerExampleGradSink row and
-// dX through col2im without a dispatch of its own.
-
-/// Batched NT GEMM with streamed right panels: for each ex in [0,batch),
-///   C_ex (m×n) (+)= A_ex (m×k) · B_ex (n×k)ᵀ
-/// where A_ex = a + ex·a_stride and B_ex is written into a per-thread
-/// panel by fill_b(ex, panel) right before it is consumed cache-hot
-/// (Conv2d's backward fills it with Im2Col). C_ex = c_of(ex) is written
-/// in place — a
-/// PerExampleGradSink row in the backward, so per-example dW rows land
-/// exactly where DP clipping reads them, with `accumulate` matching the
-/// sink's accumulate-onto-prezeroed-rows contract. Per-element values
-/// match GemmNTSerialRow's fixed dot8_f32 order bit for bit.
-void GemmBatchedNT(size_t m, size_t k, size_t n, size_t batch,
-                   const float* a, size_t a_stride,
-                   FunctionRef<void(size_t ex, float* panel)> fill_b,
-                   FunctionRef<float*(size_t ex)> c_of,
-                   bool accumulate = false);
-
-/// Batched TN GEMM with consumed output panels: for each ex in [0,batch),
-///   P_ex (m×n) = Aᵀ · B_ex
-/// for the shared row-major A (k×m) and B_ex = b + ex·b_stride, computed
-/// into a per-thread panel (ascending-p accumulation, like GemmNN) and handed
-/// to consume(ex, panel) while cache-hot. Conv2d's backward consumes the
-/// column-space gradient panel with Col2ImAccumulate to scatter it onto
-/// the example's dX slice, so the materialized K×Q matrix never leaves
-/// the thread that produced it.
-void GemmBatchedTN(size_t m, size_t k, size_t n, size_t batch,
-                   const float* a, const float* b, size_t b_stride,
-                   FunctionRef<void(size_t ex, const float* panel)> consume);
+/// Serial C (m×n) = Aᵀ · B for row-major A (k×m) and B (k×n), ascending-p
+/// accumulation from zero like GemmNN. Conv2d's column-space dX panel
+/// (Wᵀ · gy), which Col2ImAccumulate then scatters.
+void GemmTNSerial(size_t m, size_t k, size_t n, const float* a,
+                  const float* b, float* c);
 
 /// Expands a (C, H, W) image into the (C·kh·kw) × (OH·OW) column matrix
 /// of a stride-1, symmetrically zero-padded convolution. Row r encodes
@@ -175,8 +120,9 @@ void Im2Col(const float* x, size_t channels, size_t h, size_t w,
 
 /// Scatter-adds a column-matrix gradient back onto the (C, H, W) image
 /// gradient: the exact adjoint of Im2Col. `dx` must be pre-zeroed (or
-/// hold a partial gradient to accumulate onto). Parallel across channels;
-/// the per-channel accumulation order is fixed by (kernel, shape) only.
+/// hold a partial gradient to accumulate onto). Serial — it runs inside
+/// a stage's per-example task — and one col2im_f32 kernel call: every
+/// dx element takes its contributions in (kh, kw) tap order.
 void Col2ImAccumulate(const float* col, size_t channels, size_t h, size_t w,
                       size_t kernel, size_t pad, float* dx);
 

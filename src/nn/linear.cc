@@ -38,7 +38,7 @@ void Linear::FuseForwardAnchor(size_t ex, const float* x, float* y,
   // group's post-ops while the row is hot.
   float* cached = in_cache_ + ex * in_;
   std::memcpy(cached, x, in_ * sizeof(float));
-  GemmNTSerialRow(in_, out_, cached, weight_.data(), y);
+  GemmNTSerial(1, in_, out_, cached, weight_.data(), y);
   for (size_t r = 0; r < out_; ++r) y[r] += bias_[r];
   chain.Apply(ex, y);
 }
@@ -54,7 +54,7 @@ void Linear::FuseBackwardAnchor(size_t ex, const float* gy, float* gx,
   float* wgrad = sink.Slot(ex);
   ops::Ger(1.0f, gy, in_cache_ + ex * in_, wgrad, out_, in_);
   ops::Axpy(1.0f, gy, wgrad + weight_.size(), out_);
-  GemmNNSerialRow(out_, in_, gy, weight_.data(), gx);
+  GemmNNSerial(1, out_, in_, gy, weight_.data(), gx);
 }
 
 std::vector<ParamView> Linear::Params() {

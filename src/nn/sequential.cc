@@ -49,10 +49,12 @@ Tensor Sequential::BackwardBatchTo(const Tensor& grad_out, size_t batch,
   // parameter count changes after registration: a stale table would
   // misalign every downstream sink row silently.
   DPBR_CHECK_EQ(dim, NumParams());
-  // fill_n, not memset: a parameter-free model may pass a null `grads`.
-  std::fill_n(grads, batch * dim, 0.0f);
+  DPBR_CHECK_EQ(grad_out.dim(0), batch);
+  // The rows are zeroed inside the backward dispatch, each by the task
+  // that then accumulates into it, not serially here: a row cleared on
+  // this thread would cross cores to the worker that fills it.
   PerExampleGradSink sink{grads, dim, 0};
-  return BackwardBatch(grad_out, sink);
+  return plan()->BackwardBatch(grad_out, sink, /*zero_rows=*/true);
 }
 
 std::vector<ParamView> Sequential::Params() {

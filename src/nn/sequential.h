@@ -56,9 +56,10 @@ class Sequential : public Layer {
   bool fusion_enabled() const { return fusion_enabled_; }
 
   /// Batched backward writing example j's full flat parameter gradient
-  /// (dimension NumParams()) to grads + j·NumParams(). Zeroes the rows
-  /// first; returns dL/d(input) with leading batch dimension. This is
-  /// the per-example gradient entry point the DP worker clips against.
+  /// (dimension NumParams()) to grads + j·NumParams(). Zeroes each row
+  /// before filling it (inside the example's task); returns dL/d(input)
+  /// with leading batch dimension. This is the per-example gradient
+  /// entry point the DP worker clips against.
   Tensor BackwardBatchTo(const Tensor& grad_out, size_t batch, float* grads);
 
   size_t num_layers() const { return layers_.size(); }

@@ -1,5 +1,6 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -46,31 +47,30 @@ void MatVec(const float* a, const float* x, float* out, size_t rows,
 
 void MatVecTransposed(const float* a, const float* x, float* out, size_t rows,
                       size_t cols) {
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t c = 0; c < cols; ++c) out[c] = 0.0f;
-  for (size_t r = 0; r < rows; ++r) {
-    kern.axpy_f32(x[r], a + r * cols, out, cols);
-  }
+  // out (1×cols) = x (1×rows) · A: one tile-kernel row from zero.
+  simd::Kernels().gemm_acc_f32(1, cols, rows, x, rows, 1, a, cols, out, cols,
+                               nullptr, /*accumulate=*/false);
 }
 
 void Ger(float alpha, const float* u, const float* v, float* a, size_t rows,
          size_t cols) {
+  // A k = 1 tile product onto A, with the left column alpha·u[r] formed
+  // per chunk of rows exactly as the scalar multiply it always was.
+  constexpr size_t kChunk = 64;
+  float scaled[kChunk];
   const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t r = 0; r < rows; ++r) {
-    kern.axpy_f32(alpha * u[r], v, a + r * cols, cols);
+  for (size_t r0 = 0; r0 < rows; r0 += kChunk) {
+    size_t nr = std::min(kChunk, rows - r0);
+    for (size_t r = 0; r < nr; ++r) scaled[r] = alpha * u[r0 + r];
+    kern.gemm_acc_f32(nr, cols, 1, scaled, 1, 1, v, cols, a + r0 * cols, cols,
+                      nullptr, /*accumulate=*/true);
   }
 }
 
 void MatMul(const float* a, const float* b, float* c, size_t m, size_t k,
             size_t n) {
-  const simd::SimdKernels& kern = simd::Kernels();
-  for (size_t i = 0; i < m * n; ++i) c[i] = 0.0f;
-  for (size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (size_t p = 0; p < k; ++p) {
-      kern.axpy_f32(a[i * k + p], b + p * n, crow, n);
-    }
-  }
+  simd::Kernels().gemm_acc_f32(m, n, k, a, k, 1, b, n, c, n, nullptr,
+                               /*accumulate=*/false);
 }
 
 std::vector<float> Add(const std::vector<float>& x,

@@ -32,7 +32,7 @@ namespace agg {
 namespace {
 
 // kDim > 1024 so the coordinate-selection rules split into several
-// column tiles (SelectionTileWidth caps a tile at 1024 columns).
+// column tiles (SelectionTileWidth(12, 2050) is 683 columns).
 constexpr size_t kN = 12;
 constexpr size_t kDim = 2050;
 constexpr int kRounds = 3;
@@ -199,11 +199,25 @@ TEST(ArenaEquivalenceTest, IdentityClientIdsMatchPositionalPath) {
 TEST(ArenaEquivalenceTest, TileWidthShrinksWithClientCount) {
   // The column-tile budget keeps gather scratch bounded (~4 MiB) as the
   // client count grows; the width must stay within [1, 1024] columns.
-  EXPECT_EQ(SelectionTileWidth(1), 1024u);
-  EXPECT_EQ(SelectionTileWidth(1024), 1024u);
-  EXPECT_EQ(SelectionTileWidth(10000), (size_t{1} << 20) / 10000);
-  EXPECT_EQ(SelectionTileWidth(100000), 10u);
-  EXPECT_GE(SelectionTileWidth(size_t{1} << 40), 1u);
+  constexpr size_t kWide = size_t{1} << 20;
+  EXPECT_EQ(SelectionTileWidth(1, kWide), 1024u);
+  EXPECT_EQ(SelectionTileWidth(1024, kWide), 1024u);
+  EXPECT_EQ(SelectionTileWidth(10000, kWide), (size_t{1} << 20) / 10000);
+  EXPECT_EQ(SelectionTileWidth(100000, kWide), 10u);
+  EXPECT_GE(SelectionTileWidth(size_t{1} << 40, kWide), 1u);
+  EXPECT_GE(SelectionTileWidth(size_t{1} << 40, 1), 1u);
+  EXPECT_GE(SelectionTileWidth(0, 0), 1u);
+  EXPECT_EQ(SelectionTileWidth(12, kDim), 683u);
+}
+
+TEST(ArenaEquivalenceTest, TileWidthFansOutSmallDims) {
+  // d <= 1024 still splits into the minimum tile count when each tile
+  // keeps enough rows of work: n = 1000, d = 256 is 16 tiles of 16.
+  EXPECT_EQ(SelectionTileWidth(1000, 256), 16u);
+  EXPECT_EQ(SelectionTileWidth(10000, 256), 16u);
+  // Too few rows for 16 worthwhile tiles: tiles keep >= 8192 floats.
+  EXPECT_EQ(SelectionTileWidth(100, 256), 82u);
+  EXPECT_EQ(SelectionTileWidth(5, 10), 1024u);
 }
 
 }  // namespace

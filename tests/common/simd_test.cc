@@ -8,6 +8,9 @@
 //  * the pinned 8-lane reductions agree with a naive sequential sum only
 //    to tolerance (documented reassociation), while remaining bitwise
 //    stable across ISAs,
+//  * the register-blocked GEMM tile kernels equal both the scalar
+//    reference and the per-row axpy / per-element dot8 loops they
+//    replaced, on every row, column and depth remainder,
 //  * the vectorized ziggurat fast path reproduces the scalar rejection
 //    sampler's stream exactly through the public FillGaussian API, and
 //  * ScopedForceIsa retargets and restores the active table.
@@ -137,6 +140,10 @@ TEST(SimdDispatchTest, TablesAreConsistent) {
     }
     EXPECT_EQ(k->isa, level) << simd::IsaName(level);
     EXPECT_NE(k->axpy_f32, nullptr);
+    EXPECT_NE(k->im2col_f32, nullptr);
+    EXPECT_NE(k->col2im_f32, nullptr);
+    EXPECT_NE(k->gemm_acc_f32, nullptr);
+    EXPECT_NE(k->gemm_nt_f32, nullptr);
     EXPECT_NE(k->dot8_f32, nullptr);
     EXPECT_NE(k->all_finite_f32, nullptr);
     EXPECT_NE(k->transpose_f32, nullptr);
@@ -195,19 +202,6 @@ TEST(SimdKernelTest, AxpyBitwise) {
       std::vector<float> got = want;
       ref.axpy_f32(0.37f, x.data(), want.data(), n);
       k.axpy_f32(0.37f, x.data(), got.data(), n);
-      ExpectBitEqual(want, got);
-    }
-  });
-}
-
-TEST(SimdKernelTest, AddBitwise) {
-  ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
-    for (size_t n : kSizes) {
-      std::vector<float> x = RandomVec(n, 300 + n);
-      std::vector<float> want = RandomVec(n, 400 + n);
-      std::vector<float> got = want;
-      ref.add_f32(x.data(), want.data(), n);
-      k.add_f32(x.data(), got.data(), n);
       ExpectBitEqual(want, got);
     }
   });
@@ -440,6 +434,250 @@ TEST(SimdKernelTest, TransposeMatchesIndexArithmetic) {
           ASSERT_EQ(dst[c * s.dst_stride + r], -1.0f);
         }
       }
+    }
+  });
+}
+
+// --- GEMM tile kernels: blocking must not change any element's
+// operation sequence, so every tier matches the scalar reference AND the
+// per-row loops the tiles replaced (one axpy_f32 per (i, p), one dot8_f32
+// per element) bit for bit. The sweep covers every row remainder of the
+// 4-row (NN/TN) and 2-row (NT) blocks, every column remainder of the
+// SSE2/AVX2/AVX-512 strips, and k on both sides of the 8-lane fold.
+// Payloads carry NaN, ±Inf, ±0 and denormals; a NaN output only has to
+// be NaN on both sides, because its payload bits are not part of the
+// contract (x86 propagates the first NaN operand, and a compiler may
+// commute a scalar add).
+
+const size_t kTileRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+const size_t kTileKs[] = {0, 1, 7, 8, 9, 72, 196};
+
+// Every column count through 33, then the edges of the wider strips.
+// Hostile payloads run slowly (denormal assists), so that sweep keeps
+// one column count per remainder class that matters.
+std::vector<size_t> TileColumns(bool adversarial) {
+  if (adversarial) return {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 196};
+  std::vector<size_t> cols;
+  for (size_t n = 0; n <= 33; ++n) cols.push_back(n);
+  for (size_t n : {47, 48, 49, 63, 64, 65, 196}) cols.push_back(n);
+  return cols;
+}
+
+void ExpectSameFloats(const std::vector<float>& want,
+                      const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i]) && std::isnan(got[i])) continue;
+    ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+        << what << " element " << i << ": want " << want[i] << " got "
+        << got[i];
+  }
+}
+
+enum class TileStart { kZero, kRowInit, kAccumulate };
+
+// The per-row loop GemmNN / GemmTN ran before the tile kernel: start
+// each row, then one axpy per (i, p) in ascending p.
+void AxpyRowLoop(const SimdKernels& k, size_t m, size_t n, size_t depth,
+                 const float* a, size_t a_rs, size_t a_cs, const float* b,
+                 float* c, const float* row_init, TileStart start) {
+  for (size_t i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    if (start != TileStart::kAccumulate) {
+      float v = start == TileStart::kRowInit ? row_init[i] : 0.0f;
+      for (size_t j = 0; j < n; ++j) crow[j] = v;
+    }
+    for (size_t p = 0; p < depth; ++p) {
+      k.axpy_f32(a[i * a_rs + p * a_cs], b + p * n, crow, n);
+    }
+  }
+}
+
+void CheckGemmAcc(bool transposed_a, bool adversarial) {
+  const std::vector<size_t> cols = TileColumns(adversarial);
+  ForEachIsa([&](const SimdKernels& ref, const SimdKernels& k) {
+    for (size_t m : kTileRows) {
+      for (size_t depth : kTileKs) {
+        for (size_t n : cols) {
+          uint64_t seed = 1000 * m + 10 * depth + n;
+          std::vector<float> a = adversarial ? AdversarialVec(m * depth, seed)
+                                             : RandomVec(m * depth, seed);
+          std::vector<float> b = adversarial
+                                     ? AdversarialVec(depth * n, seed + 1)
+                                     : RandomVec(depth * n, seed + 1);
+          std::vector<float> init = RandomVec(m, seed + 2);
+          std::vector<float> c0 = adversarial ? AdversarialVec(m * n, seed + 3)
+                                              : RandomVec(m * n, seed + 3);
+          // A is m×k row-major (NN) or k×m row-major read as Aᵀ (TN).
+          size_t a_rs = transposed_a ? 1 : depth;
+          size_t a_cs = transposed_a ? m : 1;
+          for (TileStart start : {TileStart::kZero, TileStart::kRowInit,
+                                  TileStart::kAccumulate}) {
+            const float* row_init =
+                start == TileStart::kRowInit ? init.data() : nullptr;
+            bool acc = start == TileStart::kAccumulate;
+            std::vector<float> want = c0, got = c0, loop = c0;
+            ref.gemm_acc_f32(m, n, depth, a.data(), a_rs, a_cs, b.data(), n,
+                             want.data(), n, row_init, acc);
+            k.gemm_acc_f32(m, n, depth, a.data(), a_rs, a_cs, b.data(), n,
+                           got.data(), n, row_init, acc);
+            AxpyRowLoop(k, m, n, depth, a.data(), a_rs, a_cs, b.data(),
+                        loop.data(), init.data(), start);
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " k=" << depth << " n=" << n
+                         << " start=" << static_cast<int>(start));
+            ExpectSameFloats(want, got, "vs scalar reference");
+            ExpectSameFloats(loop, got, "vs per-row axpy loop");
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(SimdGemmTileTest, NNMatchesReferenceAndAxpyLoop) {
+  CheckGemmAcc(/*transposed_a=*/false, /*adversarial=*/false);
+}
+
+TEST(SimdGemmTileTest, TNStridedAMatchesReferenceAndAxpyLoop) {
+  CheckGemmAcc(/*transposed_a=*/true, /*adversarial=*/false);
+}
+
+TEST(SimdGemmTileTest, NNAdversarialPayloads) {
+  CheckGemmAcc(/*transposed_a=*/false, /*adversarial=*/true);
+}
+
+TEST(SimdGemmTileTest, TNAdversarialPayloads) {
+  CheckGemmAcc(/*transposed_a=*/true, /*adversarial=*/true);
+}
+
+// A sub-tile of a wider matrix (ldb, ldc > n): the strips must stay
+// inside their columns and leave the rest of each row untouched.
+TEST(SimdGemmTileTest, LeadingDimensionsWiderThanTile) {
+  constexpr size_t kM = 6, kK = 9, kN = 37, kLdb = 41, kLdc = 45;
+  ForEachIsa([](const SimdKernels& ref, const SimdKernels& k) {
+    std::vector<float> a = RandomVec(kM * kK, 11);
+    std::vector<float> b = RandomVec(kK * kLdb, 12);
+    std::vector<float> want = RandomVec(kM * kLdc, 13);
+    std::vector<float> got = want;
+    const std::vector<float> before = want;
+    ref.gemm_acc_f32(kM, kN, kK, a.data(), kK, 1, b.data(), kLdb,
+                     want.data(), kLdc, nullptr, false);
+    k.gemm_acc_f32(kM, kN, kK, a.data(), kK, 1, b.data(), kLdb, got.data(),
+                   kLdc, nullptr, false);
+    ExpectBitEqual(want, got);
+    for (size_t i = 0; i < kM; ++i) {
+      for (size_t j = kN; j < kLdc; ++j) {
+        ASSERT_EQ(Bits(got[i * kLdc + j]), Bits(before[i * kLdc + j]));
+      }
+    }
+  });
+}
+
+void CheckGemmNt(bool adversarial) {
+  const size_t kNtCols[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 72};
+  ForEachIsa([&](const SimdKernels& ref, const SimdKernels& k) {
+    for (size_t m : kTileRows) {
+      for (size_t depth : kTileKs) {
+        for (size_t n : kNtCols) {
+          uint64_t seed = 5000 + 1000 * m + 10 * depth + n;
+          std::vector<float> a = adversarial ? AdversarialVec(m * depth, seed)
+                                             : FiniteEdgeVec(m * depth, seed);
+          std::vector<float> b = RandomVec(n * depth, seed + 1);
+          std::vector<float> c0 = RandomVec(m * n, seed + 2);
+          for (bool acc : {false, true}) {
+            std::vector<float> want = c0, got = c0, loop = c0;
+            ref.gemm_nt_f32(m, n, depth, a.data(), depth, b.data(), depth,
+                            want.data(), n, acc);
+            k.gemm_nt_f32(m, n, depth, a.data(), depth, b.data(), depth,
+                          got.data(), n, acc);
+            // The per-element loop GemmNT ran before the block kernel.
+            for (size_t i = 0; i < m; ++i) {
+              for (size_t j = 0; j < n; ++j) {
+                float d = k.dot8_f32(a.data() + i * depth,
+                                     b.data() + j * depth, depth);
+                float& out = loop[i * n + j];
+                out = acc ? out + d : d;
+              }
+            }
+            SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << depth
+                                              << " n=" << n << " acc=" << acc);
+            ExpectSameFloats(want, got, "vs scalar reference");
+            ExpectSameFloats(loop, got, "vs per-element dot8 loop");
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(SimdGemmTileTest, NTBlocksMatchReferenceAndDot8Loop) {
+  CheckGemmNt(/*adversarial=*/false);
+}
+
+TEST(SimdGemmTileTest, NTAdversarialPayloads) {
+  CheckGemmNt(/*adversarial=*/true);
+}
+
+// Conv geometries for the im2col/col2im sweeps: with and without
+// padding, kernels wider than the image, output rows narrower and wider
+// than one vector (ow = 1 … 33).
+struct ConvShape {
+  size_t channels, h, w, kernel, pad;
+};
+const ConvShape kConvShapes[] = {
+    {1, 1, 1, 1, 0},   {2, 3, 5, 3, 1},   {1, 5, 3, 2, 0},
+    {3, 8, 8, 3, 1},   {1, 9, 17, 3, 0},  {2, 14, 14, 3, 1},
+    {1, 16, 16, 3, 0}, {1, 20, 33, 5, 2}, {2, 2, 2, 5, 2},
+    {1, 4, 7, 1, 2},   {1, 3, 3, 5, 1},   {1, 6, 40, 3, 2},
+    {1, 1, 1, 5, 2},
+};
+
+// im2col is data movement: every tier writes exactly the reference's
+// bits, NaN payloads included, over every slot of the column matrix.
+TEST(SimdKernelTest, Im2ColMatchesReferenceBitwise) {
+  ForEachIsa([&](const SimdKernels& ref, const SimdKernels& k) {
+    for (const ConvShape& sh : kConvShapes) {
+      size_t oh = sh.h + 2 * sh.pad - sh.kernel + 1;
+      size_t ow = sh.w + 2 * sh.pad - sh.kernel + 1;
+      size_t col_len = sh.channels * sh.kernel * sh.kernel * oh * ow;
+      std::vector<float> x =
+          AdversarialVec(sh.channels * sh.h * sh.w, 80 + col_len);
+      std::vector<float> want(col_len, 7.0f), got(col_len, -7.0f);
+      ref.im2col_f32(x.data(), sh.channels, sh.h, sh.w, sh.kernel, sh.pad,
+                     want.data());
+      k.im2col_f32(x.data(), sh.channels, sh.h, sh.w, sh.kernel, sh.pad,
+                   got.data());
+      SCOPED_TRACE(::testing::Message()
+                   << sh.channels << "x" << sh.h << "x" << sh.w << " k="
+                   << sh.kernel << " pad=" << sh.pad);
+      ExpectBitEqual(want, got);
+    }
+  });
+}
+
+// col2im: every tier (the masked tiers run it as a per-row gather)
+// equals the scalar reference, the per-row tap-by-tap scatter. -0 in dx
+// checks that lanes a tap does not cover are left alone, not given +0.
+TEST(SimdKernelTest, Col2ImMatchesReference) {
+  ForEachIsa([&](const SimdKernels& ref, const SimdKernels& k) {
+    for (const ConvShape& sh : kConvShapes) {
+      size_t oh = sh.h + 2 * sh.pad - sh.kernel + 1;
+      size_t ow = sh.w + 2 * sh.pad - sh.kernel + 1;
+      size_t col_len = sh.channels * sh.kernel * sh.kernel * oh * ow;
+      size_t dx_len = sh.channels * sh.h * sh.w;
+      std::vector<float> col = AdversarialVec(col_len, 60 + col_len);
+      std::vector<float> want = AdversarialVec(dx_len, 70 + dx_len);
+      for (size_t i = 1; i < dx_len; i += 3) want[i] = -0.0f;
+      std::vector<float> got = want;
+      ref.col2im_f32(col.data(), sh.channels, sh.h, sh.w, sh.kernel, sh.pad,
+                     want.data());
+      k.col2im_f32(col.data(), sh.channels, sh.h, sh.w, sh.kernel, sh.pad,
+                   got.data());
+      SCOPED_TRACE(::testing::Message()
+                   << sh.channels << "x" << sh.h << "x" << sh.w << " k="
+                   << sh.kernel << " pad=" << sh.pad);
+      ExpectSameFloats(want, got, "vs scalar reference");
     }
   });
 }

@@ -398,6 +398,25 @@ TEST(KernelEquivalenceTest, ConvAndLinearBatchedPassesAreOneDispatch) {
   }
 }
 
+// A one-example pass runs its stage inline, and nothing inside a
+// per-example task fans out on its own: the conv anchors' GEMMs and
+// col2im are serial kernels, so a batch-1 pass makes no dispatch at all.
+TEST(KernelEquivalenceTest, ConvBatchOnePassesMakeNoDispatch) {
+  ThreadPool pool(4);
+  ScopedPoolOverride override_pool(&pool);
+  std::unique_ptr<Sequential> model =
+      Solo(std::make_unique<Conv2d>(3, 8, 3, 1), 241);
+  Tensor x = RandomTensor({1, 3, 9, 9}, 251);
+  uint64_t before = ParallelDispatchCount();
+  Tensor y = model->ForwardBatch(x);
+  EXPECT_EQ(ParallelDispatchCount() - before, 0u) << "forward";
+  Tensor gy = RandomTensor(y.shape(), 257);
+  std::vector<float> rows(model->NumParams());
+  before = ParallelDispatchCount();
+  model->BackwardBatchTo(gy, 1, rows.data());
+  EXPECT_EQ(ParallelDispatchCount() - before, 0u) << "backward";
+}
+
 // Fusion is on by default, so these three pin the fused grouping; the
 // Unfused* variants pin the one-stage-per-layer grouping, and the
 // stage-fusion section pins fused == unfused directly.
