@@ -26,14 +26,14 @@ namespace {
 
 using namespace dpbr;
 
-std::vector<std::vector<float>> NoiseUploads(size_t n, size_t dim,
-                                             double sigma) {
+// One n x d row-major block of N(0, sigma^2) uploads (row i drawn from
+// its own split stream), the layout of the round's upload arena.
+std::vector<float> NoiseUploads(size_t n, size_t dim, double sigma) {
   SplitRng rng(1);
-  std::vector<std::vector<float>> uploads(n);
+  std::vector<float> uploads(n * dim);
   for (size_t i = 0; i < n; ++i) {
-    uploads[i].resize(dim);
     SplitRng w = rng.Split(i);
-    w.FillGaussian(uploads[i].data(), dim, sigma);
+    w.FillGaussian(uploads.data() + i * dim, dim, sigma);
   }
   return uploads;
 }
@@ -43,24 +43,33 @@ std::vector<std::vector<float>> NoiseUploads(size_t n, size_t dim,
 // ~3M noise coordinates). items_per_second is draws per second; the CI
 // bench gate asserts the ziggurat stays >= 3x the reference per draw.
 
-void FillGaussianBench(benchmark::State& state, GaussianSampler sampler) {
+void BM_FillGaussianZiggurat(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::vector<float> buf(n);
   SplitRng rng(3, {0xBE});
   for (auto _ : state) {
-    rng.FillGaussian(buf.data(), n, 0.3, sampler);
+    rng.FillGaussian(buf.data(), n, 0.3);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_FillGaussianZiggurat(benchmark::State& state) {
-  FillGaussianBench(state, GaussianSampler::kZiggurat);
-}
 BENCHMARK(BM_FillGaussianZiggurat)->Arg(65536)->Arg(1048576)->UseRealTime();
 
+// The reference side: the sequential scalar Box-Muller fill the bulk
+// kernel replaced, one SplitRng::Gaussian() per element.
 void BM_FillGaussianBoxMuller(benchmark::State& state) {
-  FillGaussianBench(state, GaussianSampler::kBoxMuller);
+  size_t n = static_cast<size_t>(state.range(0));
+  std::vector<float> buf(n);
+  SplitRng rng(3, {0xBE});
+  for (auto _ : state) {
+    for (size_t i = 0; i < n; ++i) {
+      buf[i] = static_cast<float>(0.3 * rng.Gaussian());
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FillGaussianBoxMuller)->Arg(65536)->Arg(1048576)->UseRealTime();
 
@@ -126,10 +135,7 @@ void BM_FirstStageApply(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   // The arena layout DpbrAggregator hands the filter; each iteration
   // restores the rows the previous one may have zeroed.
-  std::vector<float> arena;
-  for (const auto& u : NoiseUploads(n, 2410, 0.3)) {
-    arena.insert(arena.end(), u.begin(), u.end());
-  }
+  std::vector<float> arena = NoiseUploads(n, 2410, 0.3);
   std::vector<float> work(arena.size());
   core::FirstStageFilter filter{core::ProtocolOptions{}};
   for (auto _ : state) {
@@ -143,7 +149,11 @@ BENCHMARK(BM_FirstStageApply)->Arg(20)->Arg(50)->Arg(200)->UseRealTime();
 
 void BM_DpbrAggregate(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  auto uploads = NoiseUploads(n, 2410, 0.3);
+  // The first stage zeroes rejected rows in place, so each iteration
+  // restores the block first (the same n x d copy the removed
+  // vector-of-vectors entry point made per call).
+  std::vector<float> uploads = NoiseUploads(n, 2410, 0.3);
+  std::vector<float> work(uploads.size());
   std::vector<float> server_grad(2410, 0.01f);
   agg::AggregationContext ctx;
   ctx.dim = 2410;
@@ -152,7 +162,9 @@ void BM_DpbrAggregate(benchmark::State& state) {
   ctx.server_gradient = &server_grad;
   core::DpbrAggregator aggregator;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aggregator.Aggregate(uploads, ctx));
+    std::copy(uploads.begin(), uploads.end(), work.begin());
+    benchmark::DoNotOptimize(
+        aggregator.Aggregate(RowSpan(work.data(), n, 2410), ctx));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -160,13 +172,14 @@ BENCHMARK(BM_DpbrAggregate)->Arg(20)->Arg(50)->Arg(200)->UseRealTime();
 
 void BM_Krum(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  auto uploads = NoiseUploads(n, 2410, 0.3);
+  std::vector<float> uploads = NoiseUploads(n, 2410, 0.3);
+  RowSpan rows(uploads.data(), n, 2410);
   agg::AggregationContext ctx;
   ctx.dim = 2410;
   ctx.gamma = 0.6;
   agg::KrumAggregator krum;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(krum.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(krum.Aggregate(rows, ctx));
   }
 }
 BENCHMARK(BM_Krum)->Arg(20)->Arg(50)->UseRealTime();
@@ -184,7 +197,8 @@ size_t ParallelPoolSize() {
 }
 
 void KrumAtScale(benchmark::State& state, size_t pool_size) {
-  auto uploads = NoiseUploads(kKrumScaleN, kKrumScaleDim, 0.3);
+  std::vector<float> uploads = NoiseUploads(kKrumScaleN, kKrumScaleDim, 0.3);
+  RowSpan rows(uploads.data(), kKrumScaleN, kKrumScaleDim);
   agg::AggregationContext ctx;
   ctx.dim = kKrumScaleDim;
   ctx.gamma = 0.6;
@@ -192,7 +206,7 @@ void KrumAtScale(benchmark::State& state, size_t pool_size) {
   ThreadPool pool(pool_size);
   ScopedPoolOverride override(&pool);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(krum.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(krum.Aggregate(rows, ctx));
   }
   state.counters["threads"] = static_cast<double>(pool_size);
 }
@@ -210,7 +224,8 @@ BENCHMARK(BM_KrumAtScaleParallel)->Unit(benchmark::kMillisecond)->UseRealTime();
 // Serial and parallel Krum must agree bit-for-bit; run before the timing
 // loops so a determinism regression fails the bench smoke job loudly.
 void CheckKrumSerialParallelIdentity() {
-  auto uploads = NoiseUploads(kKrumScaleN, kKrumScaleDim, 0.3);
+  std::vector<float> uploads = NoiseUploads(kKrumScaleN, kKrumScaleDim, 0.3);
+  RowSpan rows(uploads.data(), kKrumScaleN, kKrumScaleDim);
   agg::AggregationContext ctx;
   ctx.dim = kKrumScaleDim;
   ctx.gamma = 0.6;
@@ -219,12 +234,12 @@ void CheckKrumSerialParallelIdentity() {
   {
     ThreadPool pool(1);
     ScopedPoolOverride override(&pool);
-    serial = krum.Aggregate(uploads, ctx).value();
+    serial = krum.Aggregate(rows, ctx).value();
   }
   {
     ThreadPool pool(ParallelPoolSize());
     ScopedPoolOverride override(&pool);
-    parallel = krum.Aggregate(uploads, ctx).value();
+    parallel = krum.Aggregate(rows, ctx).value();
   }
   if (serial != parallel) {
     std::fprintf(stderr,
@@ -239,24 +254,26 @@ void CheckKrumSerialParallelIdentity() {
 
 void BM_CoordinateMedian(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  auto uploads = NoiseUploads(n, 2410, 0.3);
+  std::vector<float> uploads = NoiseUploads(n, 2410, 0.3);
+  RowSpan rows(uploads.data(), n, 2410);
   agg::AggregationContext ctx;
   ctx.dim = 2410;
   agg::CoordinateMedianAggregator median;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(median.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(median.Aggregate(rows, ctx));
   }
 }
 BENCHMARK(BM_CoordinateMedian)->Arg(20)->Arg(50)->UseRealTime();
 
 void BM_RfaGeometricMedian(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  auto uploads = NoiseUploads(n, 2410, 0.3);
+  std::vector<float> uploads = NoiseUploads(n, 2410, 0.3);
+  RowSpan rows(uploads.data(), n, 2410);
   agg::AggregationContext ctx;
   ctx.dim = 2410;
   agg::RfaAggregator rfa;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rfa.Aggregate(uploads, ctx));
+    benchmark::DoNotOptimize(rfa.Aggregate(rows, ctx));
   }
 }
 BENCHMARK(BM_RfaGeometricMedian)->Arg(20)->Arg(50)->UseRealTime();

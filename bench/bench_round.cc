@@ -20,9 +20,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "aggregators/mean.h"
@@ -89,20 +91,20 @@ void BM_AggregateArena(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateArena)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 
-// The arena span path must be bitwise equal to the legacy
-// vector-of-vectors adapter (the contract arena_equivalence_test pins
-// per rule); re-check it here at a multi-tile width before timing so a
-// determinism regression fails the bench smoke job loudly.
-void CheckArenaLegacyIdentity() {
+// The coordinate-wise rules must aggregate the arena span bitwise
+// identically under a one-thread and a hardware-sized pool (the contract
+// arena_equivalence_test pins per rule); re-check it here at a
+// multi-tile width before timing so a determinism regression fails the
+// bench smoke job loudly.
+void CheckArenaPoolIdentity() {
   constexpr size_t n = 1000;
   constexpr size_t dim = 1300;  // SelectionTileWidth(1000, 1300) → 16 tiles
+  const size_t hw = std::max<size_t>(4, std::thread::hardware_concurrency());
   fl::UploadArena arena;
   arena.Reset(n, dim);
-  std::vector<std::vector<float>> legacy(n, std::vector<float>(dim));
   for (size_t i = 0; i < n; ++i) {
     SplitRng rng(17, {0, i});
     rng.FillGaussian(arena.Row(i), dim, 0.3);
-    std::memcpy(legacy[i].data(), arena.Row(i), dim * sizeof(float));
   }
   agg::AggregationContext ctx;
   ctx.dim = dim;
@@ -111,26 +113,31 @@ void CheckArenaLegacyIdentity() {
   agg::TrimmedMeanAggregator trimmed(0.2);
   agg::Aggregator* rules[] = {&mean, &median, &trimmed};
   for (agg::Aggregator* rule : rules) {
-    auto from_vecs = rule->Aggregate(legacy, ctx);
-    auto from_span = rule->Aggregate(arena.span(), ctx);
-    if (!from_vecs.ok() || !from_span.ok() ||
-        std::memcmp(from_vecs.value().data(), from_span.value().data(),
+    auto run = [&](size_t threads) {
+      ThreadPool pool(threads);
+      ScopedPoolOverride override(&pool);
+      return rule->Aggregate(arena.span(), ctx);
+    };
+    auto serial = run(1);
+    auto wide = run(hw);
+    if (!serial.ok() || !wide.ok() ||
+        std::memcmp(serial.value().data(), wide.value().data(),
                     dim * sizeof(float)) != 0) {
-      std::fprintf(stderr, "FATAL: %s arena path != legacy path\n",
-                   rule->name().c_str());
+      std::fprintf(stderr, "FATAL: %s differs between pool 1 and %zu\n",
+                   rule->name().c_str(), hw);
       std::exit(1);
     }
   }
   std::fprintf(stderr,
-               "arena determinism check: mean/median/trimmed_mean span "
-               "== legacy bitwise (n=%zu d=%zu)\n",
-               n, dim);
+               "arena determinism check: mean/median/trimmed_mean pool 1 "
+               "== pool %zu bitwise (n=%zu d=%zu)\n",
+               hw, n, dim);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CheckArenaLegacyIdentity();
+  CheckArenaPoolIdentity();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

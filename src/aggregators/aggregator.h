@@ -48,13 +48,10 @@ struct AggregationContext {
 /// \brief Aggregation rule mapping n uploads to one model-update
 /// direction.
 ///
-/// The production entry point is the span overload of Aggregate(): a
-/// zero-copy view of the round's upload arena. A rule MAY zero whole
-/// rows of the span in place (the Algorithm 2 "g ← 0" rejection
-/// semantics); it must never write anything else, and must not retain
-/// the span past the call. The vector-of-vectors overload is a
-/// compatibility adapter that packs into contiguous scratch and
-/// delegates — the copied path, kept for tests and external callers.
+/// Aggregate() takes a zero-copy view of the round's upload arena. A
+/// rule MAY zero whole rows of the span in place (the Algorithm 2
+/// "g ← 0" rejection semantics); it must never write anything else, and
+/// must not retain the span past the call.
 class Aggregator {
  public:
   virtual ~Aggregator() = default;
@@ -71,14 +68,6 @@ class Aggregator {
   /// rejected rows in place; otherwise read-only.
   virtual Result<std::vector<float>> Aggregate(
       RowSpan uploads, const AggregationContext& ctx) = 0;
-
-  /// Legacy adapter: packs `uploads` into contiguous scratch and runs
-  /// the span path. Bitwise-identical to aggregating an arena holding
-  /// the same rows (tests/aggregators/arena_equivalence_test.cc pins
-  /// this for every rule). The caller's vectors are never modified.
-  Result<std::vector<float>> Aggregate(
-      const std::vector<std::vector<float>>& uploads,
-      const AggregationContext& ctx);
 
   /// Clears any cross-round state (e.g. cumulative score lists).
   virtual void Reset() {}
@@ -108,20 +97,18 @@ class Aggregator {
 
 using AggregatorPtr = std::unique_ptr<Aggregator>;
 
-/// Shared validation for the span path: non-empty, row length == ctx.dim.
+/// Shared validation: non-empty, row length == ctx.dim, and client_ids
+/// (when set) covering every row.
 Status ValidateUploads(ConstRowSpan uploads, const AggregationContext& ctx);
-
-/// Shared validation: non-empty upload set, uniform dimension == ctx.dim.
-Status ValidateUploads(const std::vector<std::vector<float>>& uploads,
-                       const AggregationContext& ctx);
 
 /// Number of workers the server trusts: ⌈gamma·n⌉, clamped to [1, n].
 size_t TrustedCount(double gamma, size_t n);
 
 /// Mean of the span rows listed in `rows` (accumulated in that order),
 /// blocked by coordinate under the thread pool. Per-coordinate fold
-/// order depends only on `rows`, so the result is bit-identical to the
-/// serial ops::MeanOf over the same vectors and invariant to pool size.
+/// order depends only on `rows`: every coordinate sums its rows with
+/// Axpy in that order and then scales by 1/|rows|, so the result is
+/// invariant to pool size.
 std::vector<float> MeanOfSpanRows(ConstRowSpan uploads,
                                   const std::vector<size_t>& rows);
 

@@ -21,10 +21,8 @@ Result<double> ClassicGaussianSigma(double l2_sensitivity, double epsilon,
 
 /// Adds i.i.d. N(0, σ²) noise to `data` in place via the batched sampler
 /// (SplitRng::AddGaussian): deterministic under any thread-pool size.
-/// Pass GaussianSampler::kBoxMuller to reproduce the legacy sequential
-/// noise stream bit-for-bit (reference runs / old golden values).
-void PerturbInPlace(float* data, size_t n, double sigma, SplitRng* rng,
-                    GaussianSampler sampler = GaussianSampler::kZiggurat);
+/// σ <= 0 leaves `data` and the stream untouched.
+void PerturbInPlace(float* data, size_t n, double sigma, SplitRng* rng);
 
 }  // namespace dp
 }  // namespace dpbr

@@ -68,15 +68,17 @@ class ByteReader {
   [[nodiscard]] Status GetDoubleVec(std::vector<double>* out);
   [[nodiscard]] Status GetIntVec(std::vector<int>* out);
   [[nodiscard]] Status GetString(std::string* out);
+  /// Reads a u64 element count and validates count*elem_size against the
+  /// bytes remaining, so a lying count fails here instead of sizing an
+  /// allocation. Decoders of composite records pass each element's
+  /// minimum encoded size.
+  [[nodiscard]] Status TakeCount(size_t elem_size, size_t* count);
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
  private:
   [[nodiscard]] Status Take(void* out, size_t n);
-  /// Reads a u64 element count and validates count*elem_size against the
-  /// bytes remaining (corrupt lengths fail instead of allocating).
-  [[nodiscard]] Status TakeCount(size_t elem_size, size_t* count);
 
   const char* data_;
   size_t size_;

@@ -15,7 +15,10 @@ using durability::ByteWriter;
 
 // Caps for count fields decoded from disk. Generous relative to anything
 // the trainer writes, small enough that a corrupt count fails fast
-// instead of driving a multi-gigabyte allocation loop.
+// instead of driving a multi-gigabyte allocation loop. Every count is
+// first bounded by the bytes remaining at its element's minimum encoded
+// size (ByteReader::TakeCount), so no container is sized beyond what the
+// payload could hold.
 constexpr uint64_t kMaxWorkers = 1u << 20;
 constexpr uint64_t kMaxMomentumSlots = 1u << 16;
 constexpr uint64_t kMaxEvals = 1u << 24;
@@ -60,16 +63,18 @@ void EncodeMomentum(const std::vector<std::vector<std::vector<float>>>& m,
 
 Status DecodeMomentum(ByteReader* r,
                       std::vector<std::vector<std::vector<float>>>* m) {
-  uint64_t workers = 0;
-  DPBR_RETURN_NOT_OK(r->GetU64(&workers));
+  // A worker is at least its u64 slot count; a slot at least its u64
+  // float count.
+  size_t workers = 0;
+  DPBR_RETURN_NOT_OK(r->TakeCount(sizeof(uint64_t), &workers));
   if (workers > kMaxWorkers) {
     return Status::InvalidArgument("round state: implausible worker count");
   }
   m->clear();
   m->resize(workers);
   for (auto& worker : *m) {
-    uint64_t slots = 0;
-    DPBR_RETURN_NOT_OK(r->GetU64(&slots));
+    size_t slots = 0;
+    DPBR_RETURN_NOT_OK(r->TakeCount(sizeof(uint64_t), &slots));
     if (slots > kMaxMomentumSlots) {
       return Status::InvalidArgument(
           "round state: implausible momentum slot count");
@@ -99,8 +104,9 @@ void EncodeHistory(const TrainingHistory& h, ByteWriter* w) {
 }
 
 Status DecodeHistory(ByteReader* r, TrainingHistory* h) {
-  uint64_t n_evals = 0;
-  DPBR_RETURN_NOT_OK(r->GetU64(&n_evals));
+  // Each eval point is an i64 round and two doubles.
+  size_t n_evals = 0;
+  DPBR_RETURN_NOT_OK(r->TakeCount(3 * sizeof(uint64_t), &n_evals));
   if (n_evals > kMaxEvals) {
     return Status::InvalidArgument("round state: implausible eval count");
   }
@@ -133,8 +139,8 @@ Status DecodeHistory(ByteReader* r, TrainingHistory* h) {
 
 Result<std::vector<uint64_t>> DecodeU64Vec(ByteReader* r, uint64_t cap,
                                            const char* what) {
-  uint64_t n = 0;
-  DPBR_RETURN_NOT_OK(r->GetU64(&n));
+  size_t n = 0;
+  DPBR_RETURN_NOT_OK(r->TakeCount(sizeof(uint64_t), &n));
   if (n > cap) {
     return Status::InvalidArgument(std::string("round state: implausible ") +
                                    what + " count");

@@ -101,9 +101,10 @@ struct PersistentRoundState {
 /// Serializes `state` into a checkpoint payload.
 std::string EncodeRoundState(const PersistentRoundState& state);
 
-/// Parses a checkpoint payload. Any structural problem — truncation, bad
-/// version, implausible counts — is InvalidArgument; the caller treats it
-/// like a CRC failure (fall back to an older snapshot).
+/// Parses a checkpoint payload. Any structural problem is a Status:
+/// truncation and counts exceeding the remaining bytes are OutOfRange,
+/// a bad version or implausible counts InvalidArgument. The caller
+/// treats it like a CRC failure (fall back to an older snapshot).
 Result<PersistentRoundState> DecodeRoundState(const std::string& payload);
 
 /// One committed round, as appended to the WAL.

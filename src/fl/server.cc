@@ -90,25 +90,6 @@ Status Server::Step(RowSpan uploads, double lr,
   return Status::OK();
 }
 
-Status Server::Step(const std::vector<std::vector<float>>& uploads, double lr,
-                    agg::AggregationContext ctx) {
-  // Pack into one scratch block (the only copy on this legacy path) so
-  // the in-place sanitize/reject semantics never touch the caller's
-  // vectors.
-  size_t dim = params_.size();
-  for (const auto& u : uploads) {
-    if (u.size() != dim) {
-      return Status::InvalidArgument("upload dimension mismatch");
-    }
-  }
-  std::vector<float> packed(uploads.size() * dim);
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    std::memcpy(packed.data() + i * dim, uploads[i].data(),
-                dim * sizeof(float));
-  }
-  return Step(RowSpan(packed.data(), uploads.size(), dim), lr, ctx);
-}
-
 Result<std::vector<float>> Server::ComputeServerGradient() {
   if (aux_.empty()) {
     return Status::FailedPrecondition(

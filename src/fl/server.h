@@ -42,11 +42,6 @@ class Server {
   /// the auxiliary gradient on demand and injects it into `ctx`.
   Status Step(RowSpan uploads, double lr, agg::AggregationContext ctx);
 
-  /// Legacy adapter: packs `uploads` into contiguous scratch and runs the
-  /// span path. The caller's vectors are never modified.
-  Status Step(const std::vector<std::vector<float>>& uploads, double lr,
-              agg::AggregationContext ctx);
-
   /// ∇f(D_p; w): mean per-example gradient over the auxiliary data at the
   /// current parameters (no noise, no normalization — Algorithm 3 line 4).
   Result<std::vector<float>> ComputeServerGradient();

@@ -82,13 +82,6 @@ HonestDpWorker::HonestDpWorker(int id, data::DatasetView shard,
                             0.0f);
 }
 
-std::vector<float> HonestDpWorker::ComputeUpdate(
-    const std::vector<float>& global_params, int round) {
-  std::vector<float> upload(dim_);
-  ComputeUpdateInto(global_params, round, upload.data());
-  return upload;
-}
-
 void HonestDpWorker::ComputeUpdateInto(
     const std::vector<float>& global_params, int round, float* out) {
   DPBR_CHECK_EQ(global_params.size(), dim_);
@@ -161,7 +154,7 @@ void HonestDpWorker::ComputeUpdateInto(
     // Bulk perturbation (~d draws per round): the blocked sampler is both
     // the hot-path win and pool-size invariant, so the upload stream does
     // not depend on how the trainer schedules workers.
-    rng.AddGaussian(out, dim_, options_.sigma, options_.noise_sampler);
+    rng.AddGaussian(out, dim_, options_.sigma);
   }
   ops::Scale(1.0f / static_cast<float>(bc), out, dim_);
 

@@ -37,10 +37,6 @@ struct WorkerOptions {
   /// Std of the Gaussian noise added to the normalized-gradient *sum*
   /// (σ in Algorithm 1 line 10). 0 disables DP (reference runs).
   double sigma = 0.0;
-  /// Noise kernel for the σ perturbation. kZiggurat is the batched
-  /// production sampler; kBoxMuller reproduces the legacy sequential
-  /// noise stream bit-for-bit (reference runs).
-  GaussianSampler noise_sampler = GaussianSampler::kZiggurat;
   MomentumReset momentum_reset = MomentumReset::kResetToUpload;
 };
 
@@ -59,10 +55,6 @@ class HonestDpWorker {
   /// UploadArena). `out` is wholly overwritten.
   void ComputeUpdateInto(const std::vector<float>& global_params, int round,
                          float* out);
-
-  /// Convenience wrapper returning the upload as a fresh vector.
-  std::vector<float> ComputeUpdate(const std::vector<float>& global_params,
-                                   int round);
 
   int id() const { return id_; }
   size_t dim() const { return dim_; }

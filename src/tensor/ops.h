@@ -61,9 +61,6 @@ double Norm(const std::vector<float>& x);
 double CosineSimilarity(const std::vector<float>& x,
                         const std::vector<float>& y);
 
-/// Mean of a set of equally-sized vectors; empty input yields empty.
-std::vector<float> MeanOf(const std::vector<std::vector<float>>& vs);
-
 }  // namespace ops
 }  // namespace dpbr
 

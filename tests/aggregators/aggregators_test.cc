@@ -10,29 +10,20 @@
 #include "aggregators/rfa.h"
 #include "aggregators/sign_sgd.h"
 #include "aggregators/trimmed_mean.h"
+#include "support/pack_arena.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
 namespace agg {
 namespace {
 
+using testutil::PackArena;
+
 AggregationContext Ctx(size_t dim, double gamma = 0.5) {
   AggregationContext ctx;
   ctx.dim = dim;
   ctx.gamma = gamma;
   return ctx;
-}
-
-TEST(ValidateUploadsTest, Errors) {
-  AggregationContext ctx = Ctx(2);
-  // Brace-init `{}` is ambiguous between the span and vector overloads
-  // now that both exist; spell the legacy type out.
-  EXPECT_FALSE(
-      ValidateUploads(std::vector<std::vector<float>>{}, ctx).ok());
-  EXPECT_FALSE(ValidateUploads({{1.0f}}, ctx).ok());  // dim mismatch
-  EXPECT_TRUE(ValidateUploads({{1.0f, 2.0f}}, ctx).ok());
-  AggregationContext bad;
-  EXPECT_FALSE(ValidateUploads({{1.0f}}, bad).ok());  // dim unset
 }
 
 TEST(ValidateUploadsTest, SpanErrors) {
@@ -42,6 +33,8 @@ TEST(ValidateUploadsTest, SpanErrors) {
   EXPECT_FALSE(
       ValidateUploads(ConstRowSpan(block, 4, 1), ctx).ok());  // dim mismatch
   EXPECT_TRUE(ValidateUploads(ConstRowSpan(block, 2, 2), ctx).ok());
+  AggregationContext unset;
+  EXPECT_FALSE(ValidateUploads(ConstRowSpan(block, 2, 2), unset).ok());
   // client_ids, when present, must cover every row.
   std::vector<int> ids = {0};
   ctx.client_ids = &ids;
@@ -60,17 +53,19 @@ TEST(TrustedCountTest, CeilingAndClamping) {
 
 TEST(MeanTest, Averages) {
   MeanAggregator m;
-  auto r = m.Aggregate({{1, 3}, {3, 5}}, Ctx(2));
+  auto r = m.Aggregate(PackArena({{1, 3}, {3, 5}}).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), (std::vector<float>{2, 4}));
 }
 
 TEST(MedianTest, OddEvenCoordinates) {
   CoordinateMedianAggregator m;
-  auto odd = m.Aggregate({{1, 9}, {2, 8}, {100, -100}}, Ctx(2));
+  auto odd =
+      m.Aggregate(PackArena({{1, 9}, {2, 8}, {100, -100}}).span(), Ctx(2));
   ASSERT_TRUE(odd.ok());
   EXPECT_EQ(odd.value(), (std::vector<float>{2, 8}));
-  auto even = m.Aggregate({{1, 0}, {2, 0}, {3, 0}, {100, 0}}, Ctx(2));
+  auto even = m.Aggregate(
+      PackArena({{1, 0}, {2, 0}, {3, 0}, {100, 0}}).span(), Ctx(2));
   ASSERT_TRUE(even.ok());
   EXPECT_FLOAT_EQ(even.value()[0], 2.5f);
 }
@@ -78,7 +73,8 @@ TEST(MedianTest, OddEvenCoordinates) {
 TEST(TrimmedMeanTest, DropsExtremes) {
   TrimmedMeanAggregator t(0.25);
   // n = 4, k = 1: drop min and max per coordinate.
-  auto r = t.Aggregate({{0, -100}, {2, 1}, {4, 3}, {1000, 100}}, Ctx(2));
+  auto r = t.Aggregate(
+      PackArena({{0, -100}, {2, 1}, {4, 3}, {1000, 100}}).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_FLOAT_EQ(r.value()[0], 3.0f);  // mean(2, 4)
   EXPECT_FLOAT_EQ(r.value()[1], 2.0f);  // mean(1, 3)
@@ -86,7 +82,7 @@ TEST(TrimmedMeanTest, DropsExtremes) {
 
 TEST(TrimmedMeanTest, TinyPopulationStillWorks) {
   TrimmedMeanAggregator t(0.4);
-  auto r = t.Aggregate({{1}, {2}}, Ctx(1));
+  auto r = t.Aggregate(PackArena({{1}, {2}}).span(), Ctx(1));
   ASSERT_TRUE(r.ok());  // k clamped to 0
   EXPECT_FLOAT_EQ(r.value()[0], 1.5f);
 }
@@ -96,7 +92,7 @@ TEST(KrumTest, PicksTheInlier) {
   KrumAggregator k;
   std::vector<std::vector<float>> uploads = {
       {1.0f, 1.0f}, {1.1f, 0.9f}, {0.9f, 1.1f}, {100.0f, -100.0f}};
-  auto r = k.Aggregate(uploads, Ctx(2, 0.75));
+  auto r = k.Aggregate(PackArena(uploads).span(), Ctx(2, 0.75));
   ASSERT_TRUE(r.ok());
   // Result is one of the clustered vectors.
   EXPECT_NEAR(r.value()[0], 1.0f, 0.15f);
@@ -107,14 +103,14 @@ TEST(KrumTest, MultiKrumAveragesBestScored) {
   KrumAggregator k(3);
   std::vector<std::vector<float>> uploads = {
       {1.0f}, {1.2f}, {0.8f}, {50.0f}};
-  auto r = k.Aggregate(uploads, Ctx(1, 0.75));
+  auto r = k.Aggregate(PackArena(uploads).span(), Ctx(1, 0.75));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.value()[0], 1.0f, 0.01f);
 }
 
 TEST(KrumTest, NeedsThreeUploads) {
   KrumAggregator k;
-  EXPECT_FALSE(k.Aggregate({{1.0f}, {2.0f}}, Ctx(1)).ok());
+  EXPECT_FALSE(k.Aggregate(PackArena({{1.0f}, {2.0f}}).span(), Ctx(1)).ok());
 }
 
 TEST(RfaTest, GeometricMedianResistsOutlier) {
@@ -122,7 +118,7 @@ TEST(RfaTest, GeometricMedianResistsOutlier) {
   std::vector<std::vector<float>> uploads = {
       {0.0f, 0.0f}, {0.2f, 0.0f}, {-0.2f, 0.0f}, {0.0f, 0.2f},
       {0.0f, -0.2f}, {1000.0f, 1000.0f}};
-  auto r = rfa.Aggregate(uploads, Ctx(2));
+  auto r = rfa.Aggregate(PackArena(uploads).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   // The geometric median stays near the cluster center despite the
   // outlier (the mean would be dragged to ~167).
@@ -132,7 +128,7 @@ TEST(RfaTest, GeometricMedianResistsOutlier) {
 
 TEST(RfaTest, SinglePointIsFixedPoint) {
   RfaAggregator rfa;
-  auto r = rfa.Aggregate({{3.0f, 4.0f}}, Ctx(2));
+  auto r = rfa.Aggregate(PackArena({{3.0f, 4.0f}}).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.value()[0], 3.0f, 1e-4);
   EXPECT_NEAR(r.value()[1], 4.0f, 1e-4);
@@ -144,7 +140,7 @@ TEST(FlTrustTest, RejectsNegativelyAlignedUploads) {
   std::vector<float> server_grad = {1.0f, 0.0f};
   ctx.server_gradient = &server_grad;
   // One aligned upload, one anti-aligned (cos = -1 → weight 0).
-  auto r = f.Aggregate({{2.0f, 0.0f}, {-5.0f, 0.0f}}, ctx);
+  auto r = f.Aggregate(PackArena({{2.0f, 0.0f}, {-5.0f, 0.0f}}).span(), ctx);
   ASSERT_TRUE(r.ok());
   // Aligned upload rescaled to ‖g_s‖ = 1 with weight 1.
   EXPECT_NEAR(r.value()[0], 1.0f, 1e-5);
@@ -154,7 +150,7 @@ TEST(FlTrustTest, RejectsNegativelyAlignedUploads) {
 TEST(FlTrustTest, NeedsServerGradient) {
   FlTrustAggregator f;
   EXPECT_TRUE(f.NeedsServerGradient());
-  EXPECT_FALSE(f.Aggregate({{1.0f}}, Ctx(1)).ok());
+  EXPECT_FALSE(f.Aggregate(PackArena({{1.0f}}).span(), Ctx(1)).ok());
 }
 
 TEST(FlTrustTest, AllRejectedYieldsZeroUpdate) {
@@ -162,14 +158,15 @@ TEST(FlTrustTest, AllRejectedYieldsZeroUpdate) {
   AggregationContext ctx = Ctx(1);
   std::vector<float> server_grad = {1.0f};
   ctx.server_gradient = &server_grad;
-  auto r = f.Aggregate({{-1.0f}, {-2.0f}}, ctx);
+  auto r = f.Aggregate(PackArena({{-1.0f}, {-2.0f}}).span(), ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), std::vector<float>{0.0f});
 }
 
 TEST(SignSgdTest, MajorityVotePerCoordinate) {
   SignSgdAggregator s(1.0);  // unit scale for readable expectations
-  auto r = s.Aggregate({{1, -1, 2}, {3, -2, -1}, {-1, -3, -2}}, Ctx(3));
+  auto r = s.Aggregate(
+      PackArena({{1, -1, 2}, {3, -2, -1}, {-1, -3, -2}}).span(), Ctx(3));
   ASSERT_TRUE(r.ok());
   EXPECT_FLOAT_EQ(r.value()[0], 1.0f);   // votes +,+,- → +
   EXPECT_FLOAT_EQ(r.value()[1], -1.0f);  // all negative
@@ -180,7 +177,7 @@ TEST(SignSgdTest, DefaultScaleGivesUnitNorm) {
   SignSgdAggregator s;
   size_t dim = 400;
   std::vector<std::vector<float>> uploads(3, std::vector<float>(dim, 1.0f));
-  auto r = s.Aggregate(uploads, Ctx(dim));
+  auto r = s.Aggregate(PackArena(uploads).span(), Ctx(dim));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(ops::Norm(r.value()), 1.0, 1e-5);
 }
@@ -188,14 +185,15 @@ TEST(SignSgdTest, DefaultScaleGivesUnitNorm) {
 TEST(NormBoundTest, ClipsToExplicitBudget) {
   NormBoundAggregator n(1.0);
   // Upload of norm 10 clipped to 1; upload of norm 0.5 untouched.
-  auto r = n.Aggregate({{10.0f, 0.0f}, {0.5f, 0.0f}}, Ctx(2));
+  auto r =
+      n.Aggregate(PackArena({{10.0f, 0.0f}, {0.5f, 0.0f}}).span(), Ctx(2));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.value()[0], (1.0f + 0.5f) / 2.0f, 1e-5);
 }
 
 TEST(NormBoundTest, AdaptiveMedianBudget) {
   NormBoundAggregator n;  // median norm budget
-  auto r = n.Aggregate({{1.0f}, {1.0f}, {100.0f}}, Ctx(1));
+  auto r = n.Aggregate(PackArena({{1.0f}, {1.0f}, {100.0f}}).span(), Ctx(1));
   ASSERT_TRUE(r.ok());
   // Median norm = 1, so the outlier contributes 1: mean = 1.
   EXPECT_NEAR(r.value()[0], 1.0f, 1e-5);

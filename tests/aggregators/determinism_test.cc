@@ -26,10 +26,13 @@
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "nn/sequential.h"
+#include "support/pack_arena.h"
 #include "tensor/tensor.h"
 
 namespace dpbr {
 namespace {
+
+using testutil::PackArena;
 
 // Pool sizes the suite sweeps; hardware_concurrency is clamped up to 4 so
 // the parallel path is exercised even on single-core CI runners.
@@ -86,7 +89,7 @@ TEST(AggregatorDeterminismTest, Krum) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::KrumAggregator krum;
-    return krum.Aggregate(uploads, Ctx(kDim)).value();
+    return krum.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -94,7 +97,7 @@ TEST(AggregatorDeterminismTest, MultiKrum) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::KrumAggregator krum(5);
-    return krum.Aggregate(uploads, Ctx(kDim)).value();
+    return krum.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -102,7 +105,7 @@ TEST(AggregatorDeterminismTest, RfaGeometricMedian) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::RfaAggregator rfa;
-    return rfa.Aggregate(uploads, Ctx(kDim)).value();
+    return rfa.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -110,7 +113,7 @@ TEST(AggregatorDeterminismTest, CoordinateMedian) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::CoordinateMedianAggregator median;
-    return median.Aggregate(uploads, Ctx(kDim)).value();
+    return median.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -118,7 +121,7 @@ TEST(AggregatorDeterminismTest, TrimmedMean) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::TrimmedMeanAggregator trimmed(0.2);
-    return trimmed.Aggregate(uploads, Ctx(kDim)).value();
+    return trimmed.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -131,7 +134,7 @@ TEST(AggregatorDeterminismTest, FlTrust) {
     agg::FlTrustAggregator fltrust;
     agg::AggregationContext ctx = Ctx(kDim);
     ctx.server_gradient = &server_grad;
-    return fltrust.Aggregate(uploads, ctx).value();
+    return fltrust.Aggregate(PackArena(uploads).span(), ctx).value();
   });
 }
 
@@ -139,7 +142,7 @@ TEST(AggregatorDeterminismTest, NormBoundAdaptive) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectPoolInvariant([&] {
     agg::NormBoundAggregator norm_bound;
-    return norm_bound.Aggregate(uploads, Ctx(kDim)).value();
+    return norm_bound.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -153,7 +156,7 @@ TEST(AggregatorDeterminismTest, DpbrTwoStage) {
     agg::AggregationContext ctx = Ctx(kDim, 0.5);
     ctx.sigma_upload = 0.3;
     ctx.server_gradient = &server_grad;
-    return aggregator.Aggregate(uploads, ctx).value();
+    return aggregator.Aggregate(PackArena(uploads).span(), ctx).value();
   });
 }
 
@@ -211,7 +214,7 @@ TEST(AggregatorSimdEquivalenceTest, KrumBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::KrumAggregator krum(5);
-    return krum.Aggregate(uploads, Ctx(kDim)).value();
+    return krum.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -219,7 +222,7 @@ TEST(AggregatorSimdEquivalenceTest, CoordinateMedianBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::CoordinateMedianAggregator median;
-    return median.Aggregate(uploads, Ctx(kDim)).value();
+    return median.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -227,7 +230,7 @@ TEST(AggregatorSimdEquivalenceTest, TrimmedMeanBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::TrimmedMeanAggregator trimmed(0.2);
-    return trimmed.Aggregate(uploads, Ctx(kDim)).value();
+    return trimmed.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -235,7 +238,7 @@ TEST(AggregatorSimdEquivalenceTest, RfaBitwiseAcrossIsas) {
   auto uploads = FixedSeedUploads(kN, kDim, 0.3);
   ExpectIsaInvariant([&] {
     agg::RfaAggregator rfa;
-    return rfa.Aggregate(uploads, Ctx(kDim)).value();
+    return rfa.Aggregate(PackArena(uploads).span(), Ctx(kDim)).value();
   });
 }
 
@@ -353,12 +356,14 @@ TEST(WorkerUploadDeterminismTest, ComputeUpdatePoolInvariant) {
   ExpectPoolInvariant([&] {
     fl::HonestDpWorker worker(
         0, data::DatasetView::All(&bundle.value().train), factory, opts, 7);
-    return worker.ComputeUpdate(params, 1);
+    std::vector<float> upload(worker.dim());
+    worker.ComputeUpdateInto(params, 1, upload.data());
+    return upload;
   });
 }
 
 TEST(SecondStageDeterminismTest, SelectionOrderIsStable) {
-  auto uploads = FixedSeedUploads(kN, kDim, 0.3);
+  fl::UploadArena uploads = PackArena(FixedSeedUploads(kN, kDim, 0.3));
   std::vector<float> server_grad(kDim);
   SplitRng rng(17);
   rng.FillGaussian(server_grad.data(), kDim, 0.3);
@@ -368,7 +373,8 @@ TEST(SecondStageDeterminismTest, SelectionOrderIsStable) {
     // Two rounds: the second exercises the cumulative-score path.
     for (int round = 0; round < 2; ++round) {
       auto selected =
-          second_stage.SelectWorkers(uploads, server_grad, 0.5).value();
+          second_stage.SelectWorkers(uploads.cspan(), server_grad, 0.5)
+              .value();
       for (size_t idx : selected) flat.push_back(static_cast<float>(idx));
     }
     return flat;

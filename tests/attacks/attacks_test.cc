@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
+#include "aggregators/aggregator.h"
 #include "attacks/a_little.h"
 #include "attacks/adaptive.h"
 #include "attacks/attacks_common.h"
@@ -10,6 +10,8 @@
 #include "attacks/inner_product.h"
 #include "attacks/label_flip.h"
 #include "attacks/opt_lmp.h"
+#include "fl/upload.h"
+#include "support/pack_arena.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
@@ -22,8 +24,8 @@ namespace {
 // block, as the trainer provides them.
 struct Scenario {
   std::vector<std::vector<float>> honest;
-  std::vector<float> honest_block;
-  std::vector<float> poisoned_block;
+  fl::UploadArena honest_arena;
+  fl::UploadArena poisoned_arena;
   std::vector<float> params;
   SplitRng rng{123};
   fl::AttackContext ctx;
@@ -34,18 +36,16 @@ struct Scenario {
     std::vector<float> direction(dim);
     gen.FillGaussian(direction.data(), dim, 1.0);
     ops::NormalizeInPlace(direction.data(), dim);
-    honest_block.resize(n_honest * dim);
     for (size_t i = 0; i < n_honest; ++i) {
       std::vector<float> u(dim);
       SplitRng w = gen.Split(i);
       w.FillGaussian(u.data(), dim, sigma_upload);
       ops::Axpy(static_cast<float>(signal), direction.data(), u.data(), dim);
-      std::memcpy(honest_block.data() + i * dim, u.data(),
-                  dim * sizeof(float));
       honest.push_back(std::move(u));
     }
+    honest_arena = testutil::PackArena(honest);
     params.assign(dim, 0.0f);
-    ctx.honest_uploads = ConstRowSpan(honest_block.data(), n_honest, dim);
+    ctx.honest_uploads = honest_arena.cspan();
     ctx.global_params = &params;
     ctx.dim = dim;
     ctx.sigma_upload = sigma_upload;
@@ -56,21 +56,29 @@ struct Scenario {
 
   /// Packs data-poisoning uploads and points the context at them.
   void SetPoisoned(const std::vector<std::vector<float>>& rows) {
-    size_t dim = ctx.dim;
-    poisoned_block.assign(rows.size() * dim, 0.0f);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::memcpy(poisoned_block.data() + i * dim, rows[i].data(),
-                  dim * sizeof(float));
+    poisoned_arena = testutil::PackArena(rows);
+    ctx.poisoned_uploads = poisoned_arena.cspan();
+  }
+
+  /// Forges `num_byzantine` rows into a fresh arena through ForgeInto, as
+  /// the trainer does, and copies them out for per-row assertions.
+  std::vector<std::vector<float>> Forge(fl::Attack& attack,
+                                        size_t num_byzantine) {
+    fl::UploadArena arena;
+    arena.Reset(num_byzantine, ctx.dim);
+    attack.ForgeInto(ctx, arena.span());
+    std::vector<std::vector<float>> rows;
+    for (size_t b = 0; b < num_byzantine; ++b) {
+      rows.emplace_back(arena.Row(b), arena.Row(b) + ctx.dim);
     }
-    ctx.poisoned_uploads =
-        ConstRowSpan(poisoned_block.data(), rows.size(), dim);
+    return rows;
   }
 };
 
 TEST(GaussianAttackTest, MatchesDpNoiseStatistics) {
   Scenario s(10, 2000, 0.3);
   GaussianAttack attack;
-  auto forged = attack.Forge(s.ctx, 4);
+  auto forged = s.Forge(attack, 4);
   ASSERT_EQ(forged.size(), 4u);
   for (const auto& f : forged) {
     ASSERT_EQ(f.size(), 2000u);
@@ -86,7 +94,7 @@ TEST(GaussianAttackTest, FallbackScaleWithoutDp) {
   Scenario s(5, 500, 0.0);
   s.ctx.sigma_upload = 0.0;
   GaussianAttack attack(2.0);
-  auto forged = attack.Forge(s.ctx, 1);
+  auto forged = s.Forge(attack, 1);
   double expected = 2.0 * std::sqrt(500.0);
   EXPECT_NEAR(ops::Norm(forged[0]), expected, 0.15 * expected);
 }
@@ -95,7 +103,7 @@ TEST(OptLmpTest, InvertsBenignDirection) {
   Scenario s(16, 1000, 0.3);
   OptLmpAttack attack;
   size_t mn = 24;  // 60% of 40: Mn = 24 > √16 = 4
-  auto forged = attack.Forge(s.ctx, mn);
+  auto forged = s.Forge(attack, mn);
   ASSERT_EQ(forged.size(), mn);
   // All Byzantine uploads are identical (Eq. 10).
   EXPECT_EQ(forged[0], forged[1]);
@@ -113,7 +121,7 @@ TEST(OptLmpTest, ForgedNormCamouflagesAsBenign) {
   // upload norm σ_up√d (this is what defeats naive norm filtering).
   Scenario s(16, 4000, 0.3, /*signal=*/0.01);
   OptLmpAttack attack;
-  auto forged = attack.Forge(s.ctx, 24);
+  auto forged = s.Forge(attack, 24);
   double benign_norm = ops::Norm(s.honest[0]);
   EXPECT_NEAR(ops::Norm(forged[0]), benign_norm, 0.15 * benign_norm);
 }
@@ -122,7 +130,7 @@ TEST(OptLmpTest, FewAttackersFallBackGracefully) {
   Scenario s(16, 500, 0.3);
   OptLmpAttack attack;
   // Mn = 2 < √16 = 4: λ clamps to 0, attack still points against benign.
-  auto forged = attack.Forge(s.ctx, 2);
+  auto forged = s.Forge(attack, 2);
   std::vector<float> benign_sum = SumOfHonestUploads(s.ctx);
   EXPECT_LT(ops::Dot(forged[0], benign_sum), 0.0);
 }
@@ -130,7 +138,7 @@ TEST(OptLmpTest, FewAttackersFallBackGracefully) {
 TEST(ALittleTest, SitsWithinBenignSpread) {
   Scenario s(20, 800, 0.3);
   ALittleAttack attack;
-  auto forged = attack.Forge(s.ctx, 10);
+  auto forged = s.Forge(attack, 10);
   ASSERT_EQ(forged.size(), 10u);
   EXPECT_EQ(forged[0], forged[9]);
   // μ - z·s stays within ~3 std of the benign mean per coordinate:
@@ -143,10 +151,10 @@ TEST(ALittleTest, SitsWithinBenignSpread) {
 TEST(ALittleTest, ZOverrideControlsDeviation) {
   Scenario s(20, 800, 0.3);
   ALittleAttack small(0.5), large(3.0);
-  auto f_small = small.Forge(s.ctx, 4);
-  auto f_large = large.Forge(s.ctx, 4);
+  auto f_small = s.Forge(small, 4);
+  auto f_large = s.Forge(large, 4);
   // Larger z → farther from the benign mean.
-  std::vector<float> mean = ops::MeanOf(s.honest);
+  std::vector<float> mean = agg::MeanOfAllRows(s.ctx.honest_uploads);
   EXPECT_GT(ops::Norm(ops::Sub(f_large[0], mean)),
             ops::Norm(ops::Sub(f_small[0], mean)));
 }
@@ -154,8 +162,8 @@ TEST(ALittleTest, ZOverrideControlsDeviation) {
 TEST(InnerProductTest, NegatesTheMean) {
   Scenario s(8, 300, 0.2);
   InnerProductAttack attack(1.0);
-  auto forged = attack.Forge(s.ctx, 3);
-  std::vector<float> mean = ops::MeanOf(s.honest);
+  auto forged = s.Forge(attack, 3);
+  std::vector<float> mean = agg::MeanOfAllRows(s.ctx.honest_uploads);
   for (size_t k = 0; k < 300; ++k) {
     EXPECT_NEAR(forged[0][k], -mean[k], 1e-5);
   }
@@ -167,7 +175,7 @@ TEST(LabelFlipTest, ForwardsPoisonedUploads) {
                  std::vector<float>(100, 2.0f)});
   LabelFlipAttack attack;
   EXPECT_TRUE(attack.wants_poisoned_uploads());
-  auto forged = attack.Forge(s.ctx, 2);
+  auto forged = s.Forge(attack, 2);
   ASSERT_EQ(forged.size(), 2u);
   EXPECT_FLOAT_EQ(forged[0][0], 1.0f);
   EXPECT_FLOAT_EQ(forged[1][0], 2.0f);
@@ -180,7 +188,7 @@ TEST(AdaptiveTest, CamouflagesBeforeTtbbThenAttacks) {
 
   // Round 5 of 100 < TTBB·T = 50: copies of honest uploads.
   s.ctx.round = 5;
-  auto camo = attack.Forge(s.ctx, 3);
+  auto camo = s.Forge(attack, 3);
   for (const auto& f : camo) {
     bool is_copy = false;
     for (const auto& h : s.honest) {
@@ -191,8 +199,8 @@ TEST(AdaptiveTest, CamouflagesBeforeTtbbThenAttacks) {
 
   // Round 80 > 50: delegates to the inner attack.
   s.ctx.round = 80;
-  auto hostile = attack.Forge(s.ctx, 3);
-  std::vector<float> mean = ops::MeanOf(s.honest);
+  auto hostile = s.Forge(attack, 3);
+  std::vector<float> mean = agg::MeanOfAllRows(s.ctx.honest_uploads);
   EXPECT_NEAR(hostile[0][0], -mean[0], 1e-5);
 }
 

@@ -5,11 +5,14 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "support/pack_arena.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
 namespace core {
 namespace {
+
+using testutil::PackArena;
 
 constexpr size_t kDim = 1500;
 constexpr double kSigmaUp = 0.25;
@@ -65,7 +68,8 @@ TEST(DpbrAggregatorTest, SelectsHonestRejectsInverted) {
   // Accumulate over several rounds: cumulative scores sharpen selection.
   Result<std::vector<float>> out = std::vector<float>{};
   for (int round = 0; round < 5; ++round) {
-    out = aggregator.Aggregate(uploads, Ctx(&server_grad, gamma));
+    out = aggregator.Aggregate(PackArena(uploads).span(),
+                               Ctx(&server_grad, gamma));
     ASSERT_TRUE(out.ok());
   }
   const DpbrRoundDiagnostics& diag = aggregator.last_round();
@@ -87,7 +91,8 @@ TEST(DpbrAggregatorTest, FirstStageZeroesOutOfBandUploads) {
   uploads.push_back(std::vector<float>(kDim, 50.0f));
 
   DpbrAggregator aggregator;
-  auto out = aggregator.Aggregate(uploads, Ctx(&server_grad, 0.8));
+  auto out =
+      aggregator.Aggregate(PackArena(uploads).span(), Ctx(&server_grad, 0.8));
   ASSERT_TRUE(out.ok());
   const DpbrRoundDiagnostics& diag = aggregator.last_round();
   EXPECT_FALSE(diag.first_stage_passed[4]);
@@ -108,7 +113,7 @@ TEST(DpbrAggregatorTest, UpdateScaleVariants) {
   over_total.enable_first_stage = false;  // isolate the scaling logic
   over_total.update_scale = UpdateScale::kOverTotal;
   DpbrAggregator a(over_total);
-  auto ra = a.Aggregate(uploads, Ctx(&server_grad, 0.5));
+  auto ra = a.Aggregate(PackArena(uploads).span(), Ctx(&server_grad, 0.5));
   ASSERT_TRUE(ra.ok());
   // 2 selected of 4 total: (1/4)·2 = 0.5.
   EXPECT_NEAR(ra.value()[0], 0.5f, 1e-6);
@@ -116,7 +121,7 @@ TEST(DpbrAggregatorTest, UpdateScaleVariants) {
   ProtocolOptions over_selected = over_total;
   over_selected.update_scale = UpdateScale::kOverSelected;
   DpbrAggregator b(over_selected);
-  auto rb = b.Aggregate(uploads, Ctx(&server_grad, 0.5));
+  auto rb = b.Aggregate(PackArena(uploads).span(), Ctx(&server_grad, 0.5));
   ASSERT_TRUE(rb.ok());
   // (1/2)·2 = 1.
   EXPECT_NEAR(rb.value()[0], 1.0f, 1e-6);
@@ -132,7 +137,7 @@ TEST(DpbrAggregatorTest, FirstStageOnlyAblation) {
   std::vector<std::vector<float>> uploads;
   for (size_t i = 0; i < 5; ++i) uploads.push_back(HonestUpload(30 + i, dir));
   uploads.push_back(std::vector<float>(kDim, 50.0f));  // rejected
-  auto out = aggregator.Aggregate(uploads, Ctx(nullptr, 0.8));
+  auto out = aggregator.Aggregate(PackArena(uploads).span(), Ctx(nullptr, 0.8));
   ASSERT_TRUE(out.ok());
   // Selected = exactly the stage-1 survivors (the loud upload is out;
   // honest-like uploads may lose one to the KS test's 5% false-positive
@@ -149,7 +154,8 @@ TEST(DpbrAggregatorTest, RequiresSigmaForFirstStage) {
   std::vector<float> server_grad(kDim, 1.0f);
   agg::AggregationContext ctx = Ctx(&server_grad, 0.5);
   ctx.sigma_upload = 0.0;
-  auto out = aggregator.Aggregate({std::vector<float>(kDim, 0.1f)}, ctx);
+  auto out = aggregator.Aggregate(
+      PackArena({std::vector<float>(kDim, 0.1f)}).span(), ctx);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -157,8 +163,9 @@ TEST(DpbrAggregatorTest, RequiresSigmaForFirstStage) {
 TEST(DpbrAggregatorTest, RequiresServerGradientForSecondStage) {
   DpbrAggregator aggregator;
   EXPECT_TRUE(aggregator.NeedsServerGradient());
-  auto out = aggregator.Aggregate({HonestUpload(1, TrueGradientDirection())},
-                                  Ctx(nullptr, 0.5));
+  auto out = aggregator.Aggregate(
+      PackArena({HonestUpload(1, TrueGradientDirection())}).span(),
+      Ctx(nullptr, 0.5));
   EXPECT_FALSE(out.ok());
 }
 
@@ -168,7 +175,9 @@ TEST(DpbrAggregatorTest, ResetClearsCumulativeState) {
   std::vector<std::vector<float>> uploads;
   for (size_t i = 0; i < 4; ++i) uploads.push_back(HonestUpload(40 + i, dir));
   DpbrAggregator aggregator;
-  ASSERT_TRUE(aggregator.Aggregate(uploads, Ctx(&server_grad, 0.5)).ok());
+  ASSERT_TRUE(
+      aggregator.Aggregate(PackArena(uploads).span(), Ctx(&server_grad, 0.5))
+          .ok());
   EXPECT_FALSE(aggregator.second_stage().cumulative_scores().empty());
   aggregator.Reset();
   EXPECT_TRUE(aggregator.second_stage().cumulative_scores().empty());

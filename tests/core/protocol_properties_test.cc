@@ -14,11 +14,14 @@
 #include "core/dpbr_aggregator.h"
 #include "core/first_stage.h"
 #include "core/second_stage.h"
+#include "support/pack_arena.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
 namespace core {
 namespace {
+
+using testutil::PackArena;
 
 // (dimension d, per-coordinate upload noise std σ_up). Spans the paper's
 // models (d = 21802, 25450) and this reproduction's default (d = 2410)
@@ -105,9 +108,10 @@ TEST_P(SecondStageSelectionSizeTest, AlwaysExactlyCeilGammaN) {
     SplitRng w = rng.Split(&u - uploads.data());
     w.FillGaussian(u.data(), 64, 1.0);
   }
+  fl::UploadArena rows = PackArena(uploads);
   std::vector<float> server_grad(64, 0.5f);
   for (int round = 0; round < 3; ++round) {
-    auto sel = stage.SelectWorkers(uploads, server_grad, gamma);
+    auto sel = stage.SelectWorkers(rows.cspan(), server_grad, gamma);
     ASSERT_TRUE(sel.ok());
     size_t expected = std::max<size_t>(
         1, static_cast<size_t>(
@@ -161,7 +165,7 @@ TEST(BoundedImpactTest, AggregateNormBoundedByNoiseBudget) {
   ctx.gamma = 0.5;
   ctx.server_gradient = &server_grad;
   DpbrAggregator aggregator;
-  auto out = aggregator.Aggregate(uploads, ctx);
+  auto out = aggregator.Aggregate(PackArena(uploads).span(), ctx);
   ASSERT_TRUE(out.ok());
   // Mean of <= ⌈γn⌉ window-bounded vectors: ‖·‖ <= √hi.
   EXPECT_LE(ops::Norm(out.value()), std::sqrt(hi) + 1e-3);

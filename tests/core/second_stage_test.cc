@@ -5,15 +5,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/pack_arena.h"
+
 namespace dpbr {
 namespace core {
 namespace {
 
-// uploads[i] = scalar vectors so inner products are transparent.
-std::vector<std::vector<float>> ScalarUploads(std::vector<float> values) {
-  std::vector<std::vector<float>> out;
-  for (float v : values) out.push_back({v});
-  return out;
+// One-coordinate uploads, one row per value, so inner products are
+// transparent.
+fl::UploadArena ScalarUploads(const std::vector<float>& values) {
+  std::vector<std::vector<float>> rows;
+  for (float v : values) rows.push_back({v});
+  return testutil::PackArena(rows);
 }
 
 TEST(SecondStageTest, SelectsTopGammaFraction) {
@@ -21,7 +24,7 @@ TEST(SecondStageTest, SelectsTopGammaFraction) {
   // Server gradient {1}: scores equal the upload values. With scores
   // {5, 5, 1, -3} and γ = 0.5, μ̂ = mean(top 2) = 5 keeps both fives;
   // S = {5, 5, 0, 0} → selection {0, 1}.
-  auto sel = s.SelectWorkers(ScalarUploads({5, 5, 1, -3}), {1.0f}, 0.5);
+  auto sel = s.SelectWorkers(ScalarUploads({5, 5, 1, -3}).span(), {1.0f}, 0.5);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel.value(), (std::vector<size_t>{0, 1}));
 }
@@ -31,16 +34,16 @@ TEST(SecondStageTest, ThresholdSuppressesLowerHalfOfTopScores) {
   // μ̂ is the MEAN of the top ⌈γn⌉ scores, so a strictly lower member of
   // the top group is itself suppressed: scores {5, 4, 1, -3} → μ̂ = 4.5
   // zeroes the 4 as well; only worker 0 accumulates.
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({5, 4, 1, -3}), {1.0f}, 0.5)
-                  .ok());
+  ASSERT_TRUE(
+      s.SelectWorkers(ScalarUploads({5, 4, 1, -3}).span(), {1.0f}, 0.5).ok());
   EXPECT_DOUBLE_EQ(s.cumulative_scores()[0], 5.0);
   EXPECT_DOUBLE_EQ(s.cumulative_scores()[1], 0.0);
 }
 
 TEST(SecondStageTest, NegativeScoresSuppressedFromAccumulation) {
   SecondStageAggregator s;
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({5, 1, -3, -4}), {1.0f}, 0.5)
-                  .ok());
+  ASSERT_TRUE(
+      s.SelectWorkers(ScalarUploads({5, 1, -3, -4}).span(), {1.0f}, 0.5).ok());
   // μ̂ = mean(top 2) = 3: scores below 3 are zeroed before accumulating.
   const std::vector<double>& S = s.cumulative_scores();
   EXPECT_DOUBLE_EQ(S[0], 5.0);
@@ -53,11 +56,13 @@ TEST(SecondStageTest, CumulativeScoresDecideSelection) {
   SecondStageAggregator s;
   // Round 1: workers 0 and 1 both pass (μ̂ = 10): S = {10, 10, 0, 0}.
   ASSERT_TRUE(
-      s.SelectWorkers(ScalarUploads({10, 10, -5, -5}), {1.0f}, 0.5).ok());
+      s.SelectWorkers(ScalarUploads({10, 10, -5, -5}).span(), {1.0f}, 0.5)
+          .ok());
   // Round 2: worker 0 scores 0 while worker 1 passes again. Selection is
   // by the PERSISTENT list S (Algorithm 3 line 14), so worker 0's banked
   // score keeps it selected over the zero-history workers.
-  auto sel = s.SelectWorkers(ScalarUploads({0, 20, -5, -5}), {1.0f}, 0.5);
+  auto sel =
+      s.SelectWorkers(ScalarUploads({0, 20, -5, -5}).span(), {1.0f}, 0.5);
   ASSERT_TRUE(sel.ok());
   // S = {10, 30, 0, 0} → top 2 = {1, 0} → sorted {0, 1}.
   EXPECT_EQ(sel.value(), (std::vector<size_t>{0, 1}));
@@ -67,7 +72,7 @@ TEST(SecondStageTest, CumulativeScoresDecideSelection) {
 
 TEST(SecondStageTest, LastRoundScoresExposed) {
   SecondStageAggregator s;
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({2, -1}), {3.0f}, 0.5).ok());
+  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({2, -1}).span(), {3.0f}, 0.5).ok());
   ASSERT_EQ(s.last_round_scores().size(), 2u);
   EXPECT_DOUBLE_EQ(s.last_round_scores()[0], 6.0);
   EXPECT_DOUBLE_EQ(s.last_round_scores()[1], -3.0);
@@ -77,7 +82,7 @@ TEST(SecondStageTest, GammaControlsSelectionSize) {
   for (double gamma : {0.1, 0.25, 0.5, 0.9, 1.0}) {
     SecondStageAggregator s;
     auto sel = s.SelectWorkers(
-        ScalarUploads({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}), {1.0f}, gamma);
+        ScalarUploads({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}).span(), {1.0f}, gamma);
     ASSERT_TRUE(sel.ok());
     size_t expected = static_cast<size_t>(std::ceil(gamma * 10.0));
     expected = std::max<size_t>(expected, 1);
@@ -87,28 +92,27 @@ TEST(SecondStageTest, GammaControlsSelectionSize) {
 
 TEST(SecondStageTest, WorkerCountChangeIsAnError) {
   SecondStageAggregator s;
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({1, 2}), {1.0f}, 0.5).ok());
-  auto bad = s.SelectWorkers(ScalarUploads({1, 2, 3}), {1.0f}, 0.5);
+  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({1, 2}).span(), {1.0f}, 0.5).ok());
+  auto bad = s.SelectWorkers(ScalarUploads({1, 2, 3}).span(), {1.0f}, 0.5);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
   s.Reset();
-  EXPECT_TRUE(s.SelectWorkers(ScalarUploads({1, 2, 3}), {1.0f}, 0.5).ok());
+  EXPECT_TRUE(
+      s.SelectWorkers(ScalarUploads({1, 2, 3}).span(), {1.0f}, 0.5).ok());
 }
 
 TEST(SecondStageTest, InputValidation) {
   SecondStageAggregator s;
-  // Brace-init `{}` is ambiguous between the span and vector overloads;
-  // spell the legacy type out.
-  EXPECT_FALSE(
-      s.SelectWorkers(std::vector<std::vector<float>>{}, {1.0f}, 0.5).ok());
-  EXPECT_FALSE(s.SelectWorkers(ScalarUploads({1}), {}, 0.5).ok());
-  EXPECT_FALSE(
-      s.SelectWorkers({{1.0f, 2.0f}}, {1.0f}, 0.5).ok());  // dim mismatch
+  EXPECT_FALSE(s.SelectWorkers(ConstRowSpan(), {1.0f}, 0.5).ok());
+  EXPECT_FALSE(s.SelectWorkers(ScalarUploads({1}).span(), {}, 0.5).ok());
+  EXPECT_FALSE(s.SelectWorkers(testutil::PackArena({{1.0f, 2.0f}}).span(),
+                               {1.0f}, 0.5)
+                   .ok());  // dim mismatch
 }
 
 TEST(SecondStageTest, ResetClearsState) {
   SecondStageAggregator s;
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({5, 1}), {1.0f}, 0.5).ok());
+  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({5, 1}).span(), {1.0f}, 0.5).ok());
   EXPECT_FALSE(s.cumulative_scores().empty());
   s.Reset();
   EXPECT_TRUE(s.cumulative_scores().empty());
@@ -116,7 +120,7 @@ TEST(SecondStageTest, ResetClearsState) {
 
 TEST(SecondStageTest, TieBreaksByLowerIndex) {
   SecondStageAggregator s;
-  auto sel = s.SelectWorkers(ScalarUploads({4, 4, 4, 4}), {1.0f}, 0.5);
+  auto sel = s.SelectWorkers(ScalarUploads({4, 4, 4, 4}).span(), {1.0f}, 0.5);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel.value(), (std::vector<size_t>{0, 1}));
 }

@@ -54,16 +54,6 @@ TEST(PerturbTest, AddsNoiseOfRightMagnitude) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
-TEST(PerturbTest, BoxMullerKernelReproducesLegacyStream) {
-  // The reference kernel is the pre-ziggurat noise loop, bit for bit:
-  // data[i] += (float)rng.Gaussian(0.0, sigma).
-  SplitRng a(5), b(5);
-  std::vector<float> v(300, 1.0f), ref(300, 1.0f);
-  PerturbInPlace(v.data(), v.size(), 2.0, &a, GaussianSampler::kBoxMuller);
-  for (auto& x : ref) x += static_cast<float>(b.Gaussian(0.0, 2.0));
-  EXPECT_EQ(v, ref);
-}
-
 TEST(PerturbTest, NoiseScalesLinearlyWithSigma) {
   // Same stream state, σ and 3σ: every noise coordinate scales by
   // exactly the σ ratio (draws are computed in double, so the float

@@ -19,6 +19,7 @@
 #include "durability/bytes.h"
 #include "fl/round_state.h"
 #include "nn/model_zoo.h"
+#include "support/pack_arena.h"
 
 namespace dpbr {
 namespace {
@@ -164,18 +165,18 @@ TEST(SpentLedgerTest, EmptyAndNonDpEdges) {
 
 // --- Second stage: serialize → Reset → restore ---
 
-std::vector<std::vector<float>> ScalarUploads(std::vector<float> values) {
-  std::vector<std::vector<float>> out;
-  for (float v : values) out.push_back({v});
-  return out;
+fl::UploadArena ScalarUploads(const std::vector<float>& values) {
+  std::vector<std::vector<float>> rows;
+  for (float v : values) rows.push_back({v});
+  return testutil::PackArena(rows);
 }
 
 TEST(SecondStageStateTest, RestoreReproducesCumulativeScores) {
   core::SecondStageAggregator s;
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({5, 5, 1, -3}), {1.0f}, 0.5)
-                  .ok());
-  ASSERT_TRUE(s.SelectWorkers(ScalarUploads({4, 6, 2, -1}), {1.0f}, 0.5)
-                  .ok());
+  ASSERT_TRUE(
+      s.SelectWorkers(ScalarUploads({5, 5, 1, -3}).span(), {1.0f}, 0.5).ok());
+  ASSERT_TRUE(
+      s.SelectWorkers(ScalarUploads({4, 6, 2, -1}).span(), {1.0f}, 0.5).ok());
   std::vector<double> saved = s.cumulative_scores();
   ASSERT_FALSE(saved.empty());
 
@@ -186,16 +187,16 @@ TEST(SecondStageStateTest, RestoreReproducesCumulativeScores) {
 
   // The restored aggregator continues exactly like one that never paused.
   core::SecondStageAggregator reference;
-  ASSERT_TRUE(reference
-                  .SelectWorkers(ScalarUploads({5, 5, 1, -3}), {1.0f}, 0.5)
-                  .ok());
-  ASSERT_TRUE(reference
-                  .SelectWorkers(ScalarUploads({4, 6, 2, -1}), {1.0f}, 0.5)
-                  .ok());
+  ASSERT_TRUE(
+      reference.SelectWorkers(ScalarUploads({5, 5, 1, -3}).span(), {1.0f}, 0.5)
+          .ok());
+  ASSERT_TRUE(
+      reference.SelectWorkers(ScalarUploads({4, 6, 2, -1}).span(), {1.0f}, 0.5)
+          .ok());
   auto next_restored =
-      s.SelectWorkers(ScalarUploads({3, 3, 9, 0}), {1.0f}, 0.5);
+      s.SelectWorkers(ScalarUploads({3, 3, 9, 0}).span(), {1.0f}, 0.5);
   auto next_reference =
-      reference.SelectWorkers(ScalarUploads({3, 3, 9, 0}), {1.0f}, 0.5);
+      reference.SelectWorkers(ScalarUploads({3, 3, 9, 0}).span(), {1.0f}, 0.5);
   ASSERT_TRUE(next_restored.ok());
   ASSERT_TRUE(next_reference.ok());
   EXPECT_EQ(next_restored.value(), next_reference.value());
@@ -237,8 +238,7 @@ TEST(AggregatorStateTest, DpbrRoundTripsSecondStageScores) {
   ctx.round = 1;
   std::vector<float> grad = {1.0f};
   ctx.server_gradient = &grad;
-  ASSERT_TRUE(
-      a.Aggregate(ScalarUploads({5, 5, 1, -3}), ctx).ok());
+  ASSERT_TRUE(a.Aggregate(ScalarUploads({5, 5, 1, -3}).span(), ctx).ok());
   std::vector<double> before = a.second_stage().cumulative_scores();
   ASSERT_FALSE(before.empty());
 
@@ -334,6 +334,52 @@ TEST(RoundStateTest, CorruptPayloadsFailWithStatus) {
   std::string bad_version = payload;
   bad_version[0] ^= 0xFF;
   EXPECT_FALSE(fl::DecodeRoundState(bad_version).ok());
+}
+
+// A count field that promises more elements than the payload holds must
+// fail before anything is sized by it. Each case locates its count as the
+// first byte where two encodings differ only in that count, replaces the
+// count with a lie and appends a short tail.
+void ExpectLyingCountRejected(const fl::PersistentRoundState& a,
+                              const fl::PersistentRoundState& b,
+                              uint64_t lie) {
+  std::string pa = fl::EncodeRoundState(a);
+  std::string pb = fl::EncodeRoundState(b);
+  size_t at = 0;
+  while (pa[at] == pb[at]) ++at;
+  ByteWriter count;
+  count.PutU64(lie);
+  std::string payload = pa.substr(0, at) + count.Take() + std::string(16, '\0');
+  auto decoded = fl::DecodeRoundState(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(decoded.status().message().find("exceeds the"), std::string::npos)
+      << decoded.status().ToString();
+}
+
+TEST(RoundStateTest, LyingWorkerCountFailsBeforeAllocating) {
+  fl::PersistentRoundState none, one;
+  one.honest_momentum.resize(1);
+  ExpectLyingCountRejected(none, one, uint64_t{1} << 20);
+}
+
+TEST(RoundStateTest, LyingSlotCountFailsBeforeAllocating) {
+  fl::PersistentRoundState none, one;
+  none.honest_momentum.resize(1);
+  one.honest_momentum.assign(1, std::vector<std::vector<float>>(1));
+  ExpectLyingCountRejected(none, one, uint64_t{1} << 16);
+}
+
+TEST(RoundStateTest, LyingRngKeyCountFailsBeforeAllocating) {
+  fl::PersistentRoundState none, one;
+  one.worker_rng_keys = {0};
+  ExpectLyingCountRejected(none, one, uint64_t{1} << 20);
+}
+
+TEST(RoundStateTest, LyingEvalCountFailsBeforeAllocating) {
+  fl::PersistentRoundState none, one;
+  one.history.evals.resize(1);
+  ExpectLyingCountRejected(none, one, uint64_t{1} << 24);
 }
 
 // Version 1 stored batch_size identical momentum copies per worker under

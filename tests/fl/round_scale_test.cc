@@ -153,9 +153,10 @@ TEST(RoundScaleTest, AttackForgesIntoReservedArenaRows) {
   EXPECT_NE(attacked.params, clean.params);  // forged rows aggregated
 }
 
-TEST(RoundScaleTest, ForgeIntoArenaSliceMatchesLegacyForge) {
+TEST(RoundScaleTest, ForgeIntoArenaSliceMatchesStandaloneBlock) {
   // The trainer hands the attack a sub-span of the round arena; writing
-  // there must produce exactly what the legacy copy-out adapter returns.
+  // there must produce exactly what forging into a block of its own
+  // does.
   constexpr size_t kHonest = 6, kByz = 3, kDim = 64;
   UploadArena arena;
   arena.Reset(kHonest + kByz, kDim);
@@ -177,12 +178,13 @@ TEST(RoundScaleTest, ForgeIntoArenaSliceMatchesLegacyForge) {
   SplitRng rng_a(9, {1});
   SplitRng rng_b(9, {1});
   AttackContext ctx_a = make_ctx(&rng_a);
-  std::vector<std::vector<float>> legacy = attack.Forge(ctx_a, kByz);
+  std::vector<float> standalone(kByz * kDim);
+  attack.ForgeInto(ctx_a, RowSpan(standalone.data(), kByz, kDim));
   AttackContext ctx_b = make_ctx(&rng_b);
   attack.ForgeInto(ctx_b, arena.span().Slice(kHonest, kHonest + kByz));
   for (size_t b = 0; b < kByz; ++b) {
-    EXPECT_EQ(0, std::memcmp(legacy[b].data(), arena.Row(kHonest + b),
-                             kDim * sizeof(float)))
+    EXPECT_EQ(0, std::memcmp(standalone.data() + b * kDim,
+                             arena.Row(kHonest + b), kDim * sizeof(float)))
         << "byzantine row " << b;
   }
 }

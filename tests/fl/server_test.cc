@@ -13,11 +13,14 @@
 #include "data/synthetic.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
+#include "support/pack_arena.h"
 #include "tensor/ops.h"
 
 namespace dpbr {
 namespace fl {
 namespace {
+
+using testutil::PackArena;
 
 data::DatasetBundle SmallBundle() {
   data::SyntheticSpec spec;
@@ -47,7 +50,7 @@ TEST(ServerTest, StepAppliesScaledUpdate) {
   std::vector<float> before = s.params();
   std::vector<float> direction(s.dim(), 1.0f);
   agg::AggregationContext ctx;
-  ASSERT_TRUE(s.Step({direction, direction}, 0.5, ctx).ok());
+  ASSERT_TRUE(s.Step(PackArena({direction, direction}).span(), 0.5, ctx).ok());
   for (size_t i = 0; i < s.dim(); ++i) {
     EXPECT_FLOAT_EQ(s.params()[i], before[i] - 0.5f);
   }
@@ -115,7 +118,7 @@ TEST(ServerTest, NonFiniteUploadIsNeutralizedNotFatal) {
   poisoned[3] = std::nan("");
   poisoned[7] = std::numeric_limits<float>::infinity();
   agg::AggregationContext ctx;
-  ASSERT_TRUE(s.Step({direction, poisoned}, 0.5, ctx).ok());
+  ASSERT_TRUE(s.Step(PackArena({direction, poisoned}).span(), 0.5, ctx).ok());
   // Mean of {1, 0} per coordinate = 0.5, scaled by lr 0.5.
   for (size_t i = 0; i < s.dim(); ++i) {
     EXPECT_FLOAT_EQ(s.params()[i], before[i] - 0.25f);
@@ -192,33 +195,6 @@ TEST(ServerTest, SanitizeNeutralizesIdenticallyAcrossSimdTiers) {
       ASSERT_EQ(want[i], got[i]) << simd::IsaName(level) << " index " << i;
     }
   }
-}
-
-TEST(ServerTest, SpanStepMatchesLegacyStep) {
-  std::vector<std::vector<float>> uploads(
-      4, std::vector<float>(nn::MakeMlp(16, 8, 4)->NumParams()));
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    SplitRng rng(8, {0xD1FF, i});
-    rng.FillGaussian(uploads[i].data(), uploads[i].size(), 0.5);
-  }
-  Server legacy(nn::MlpFactory(16, 8, 4),
-                std::make_unique<agg::MeanAggregator>(), data::DatasetView(),
-                1);
-  Server span(nn::MlpFactory(16, 8, 4),
-              std::make_unique<agg::MeanAggregator>(), data::DatasetView(),
-              1);
-  std::vector<float> block(uploads.size() * uploads[0].size());
-  for (size_t i = 0; i < uploads.size(); ++i) {
-    std::memcpy(block.data() + i * uploads[0].size(), uploads[i].data(),
-                uploads[0].size() * sizeof(float));
-  }
-  agg::AggregationContext ctx;
-  ASSERT_TRUE(legacy.Step(uploads, 0.25, ctx).ok());
-  ASSERT_TRUE(
-      span.Step(RowSpan(block.data(), uploads.size(), uploads[0].size()),
-                0.25, ctx)
-          .ok());
-  EXPECT_EQ(legacy.params(), span.params());
 }
 
 TEST(ServerTest, UntrainedAccuracyIsNearChance) {

@@ -26,6 +26,15 @@ data::DatasetBundle SmallBundle() {
   return std::move(b).value();
 }
 
+// One round's upload, written through ComputeUpdateInto as the trainer
+// writes a worker's arena row.
+std::vector<float> Upload(HonestDpWorker& w, const std::vector<float>& params,
+                          int round) {
+  std::vector<float> u(w.dim());
+  w.ComputeUpdateInto(params, round, u.data());
+  return u;
+}
+
 WorkerOptions Opts(double sigma) {
   WorkerOptions o;
   o.batch_size = 8;
@@ -43,7 +52,7 @@ TEST(WorkerTest, UploadDimensionMatchesModel) {
   SplitRng rng(1);
   model->InitParams(&rng);
   std::vector<float> params = model->FlatParams();
-  std::vector<float> u = w.ComputeUpdate(params, 1);
+  std::vector<float> u = Upload(w, params, 1);
   EXPECT_EQ(u.size(), w.dim());
 }
 
@@ -57,8 +66,8 @@ TEST(WorkerTest, DeterministicPerRound) {
 
   HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, Opts(1.0), 7);
   HonestDpWorker b(0, data::DatasetView::All(&bundle.train), f, Opts(1.0), 7);
-  EXPECT_EQ(a.ComputeUpdate(params, 1), b.ComputeUpdate(params, 1));
-  EXPECT_EQ(a.ComputeUpdate(params, 2), b.ComputeUpdate(params, 2));
+  EXPECT_EQ(Upload(a, params, 1), Upload(b, params, 1));
+  EXPECT_EQ(Upload(a, params, 2), Upload(b, params, 2));
 }
 
 TEST(WorkerTest, DifferentSeedsProduceDifferentUploads) {
@@ -70,7 +79,7 @@ TEST(WorkerTest, DifferentSeedsProduceDifferentUploads) {
   std::vector<float> params = model->FlatParams();
   HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, Opts(1.0), 7);
   HonestDpWorker b(1, data::DatasetView::All(&bundle.train), f, Opts(1.0), 8);
-  EXPECT_NE(a.ComputeUpdate(params, 1), b.ComputeUpdate(params, 1));
+  EXPECT_NE(Upload(a, params, 1), Upload(b, params, 1));
 }
 
 TEST(WorkerTest, NoNoiseUploadIsBoundedByOne) {
@@ -83,7 +92,7 @@ TEST(WorkerTest, NoNoiseUploadIsBoundedByOne) {
   std::vector<float> params = model->FlatParams();
   HonestDpWorker w(0, data::DatasetView::All(&bundle.train), f, Opts(0.0), 3);
   for (int round = 1; round <= 5; ++round) {
-    std::vector<float> u = w.ComputeUpdate(params, round);
+    std::vector<float> u = Upload(w, params, round);
     EXPECT_LE(ops::Norm(u), 1.0 + 1e-5);
     EXPECT_GT(ops::Norm(u), 0.0);
   }
@@ -101,7 +110,7 @@ TEST(WorkerTest, DpNoiseDominatesUploadNorm) {
   double sigma = 8.0;
   WorkerOptions o = Opts(sigma);
   HonestDpWorker w(0, data::DatasetView::All(&bundle.train), f, o, 4);
-  std::vector<float> u = w.ComputeUpdate(params, 1);
+  std::vector<float> u = Upload(w, params, 1);
   double expected = sigma * std::sqrt(static_cast<double>(d)) / o.batch_size;
   EXPECT_NEAR(ops::Norm(u), expected, 0.15 * expected);
 }
@@ -122,9 +131,9 @@ TEST(WorkerTest, MomentumModesDiverge) {
   HonestDpWorker a(0, data::DatasetView::All(&bundle.train), f, reset, 9);
   HonestDpWorker b(0, data::DatasetView::All(&bundle.train), f, persist, 9);
   // Round 1 is identical (momentum starts at zero in both modes)...
-  EXPECT_EQ(a.ComputeUpdate(params, 1), b.ComputeUpdate(params, 1));
+  EXPECT_EQ(Upload(a, params, 1), Upload(b, params, 1));
   // ...but the modes diverge from round 2 on.
-  EXPECT_NE(a.ComputeUpdate(params, 2), b.ComputeUpdate(params, 2));
+  EXPECT_NE(Upload(a, params, 2), Upload(b, params, 2));
 }
 
 // Memory contract: under kResetToUpload every slot equals the last
@@ -146,8 +155,8 @@ TEST(WorkerTest, MomentumSlotsPerMode) {
   ASSERT_EQ(a.momentum().size(), 1u);
   ASSERT_EQ(b.momentum().size(), static_cast<size_t>(persist.batch_size));
   for (int round = 1; round <= 3; ++round) {
-    std::vector<float> upload = a.ComputeUpdate(params, round);
-    b.ComputeUpdate(params, round);
+    std::vector<float> upload = Upload(a, params, round);
+    Upload(b, params, round);
     ASSERT_EQ(a.momentum().size(), 1u);
     // The one reset row is the upload (Algorithm 1 line 11).
     EXPECT_EQ(a.momentum()[0], upload);
@@ -197,7 +206,7 @@ TEST(WorkerTest, TinyShardFallsBackToWithReplacement) {
   // Shard of 3 examples with batch size 8.
   data::DatasetView shard(&bundle.train, {0, 1, 2});
   HonestDpWorker w(0, shard, f, Opts(0.0), 11);
-  std::vector<float> u = w.ComputeUpdate(params, 1);
+  std::vector<float> u = Upload(w, params, 1);
   EXPECT_GT(ops::Norm(u), 0.0);
 }
 
@@ -211,8 +220,8 @@ TEST(WorkerTest, FlippedShardGivesDifferentUpload) {
   data::DatasetView shard = data::DatasetView::All(&bundle.train);
   HonestDpWorker clean(0, shard, f, Opts(0.0), 13);
   HonestDpWorker poisoned(0, shard.WithFlippedLabels(), f, Opts(0.0), 13);
-  std::vector<float> uc = clean.ComputeUpdate(params, 1);
-  std::vector<float> up = poisoned.ComputeUpdate(params, 1);
+  std::vector<float> uc = Upload(clean, params, 1);
+  std::vector<float> up = Upload(poisoned, params, 1);
   EXPECT_NE(uc, up);
   // Poisoned gradients point against the clean descent direction.
   EXPECT_LT(ops::Dot(uc, up) / (ops::Norm(uc) * ops::Norm(up)), 0.5);

@@ -106,12 +106,6 @@ TEST(OpsTest, CosineSimilarity) {
   EXPECT_DOUBLE_EQ(CosineSimilarity(x, {0, 0}), 0.0);  // zero-safe
 }
 
-TEST(OpsTest, MeanOf) {
-  std::vector<std::vector<float>> vs = {{1, 2}, {3, 4}, {5, 6}};
-  EXPECT_EQ(MeanOf(vs), (std::vector<float>{3, 4}));
-  EXPECT_TRUE(MeanOf({}).empty());
-}
-
 }  // namespace
 }  // namespace ops
 }  // namespace dpbr
