@@ -73,7 +73,6 @@ REPO_ROOT = os.path.dirname(
 # compile flags or to use ISA intrinsics, and (with the dispatcher and
 # its equivalence test) the only legal includers of simd_internal.h.
 SIMD_ISA_TUS = {
-    "src/common/simd_sse2.cc",
     "src/common/simd_avx2.cc",
     "src/common/simd_avx512.cc",
 }
@@ -551,7 +550,7 @@ def check_simd_flags(rel, compile_args, findings):
             findings.append(Finding(
                 rel, 0, "simd-mflags",
                 f"ISA flag '{arg}' on a TU outside the per-ISA set "
-                "{simd_sse2,avx2,avx512}.cc; codegen must stay "
+                "simd_{avx2,avx512}.cc; codegen must stay "
                 "ISA-portable so the scalar reference is reachable"))
 
 

@@ -43,8 +43,23 @@ std::vector<float> MeanOfSpanRows(ConstRowSpan uploads,
     }
     ops::Scale(1.0f / static_cast<float>(rows.size()), out.data() + lo,
                hi - lo);
+    RedoOverflowedMean(uploads, rows, nullptr, out.data(), lo, hi);
   });
   return out;
+}
+
+void RedoOverflowedMean(ConstRowSpan uploads, const std::vector<size_t>& rows,
+                        const float* weights, float* out, size_t lo,
+                        size_t hi) {
+  for (size_t k = lo; k < hi; ++k) {
+    if (std::isfinite(out[k])) continue;
+    double sum = 0.0;
+    for (size_t r : rows) {
+      double w = weights != nullptr ? weights[r] : 1.0;
+      sum += w * uploads.Row(r)[k];
+    }
+    out[k] = static_cast<float>(sum / static_cast<double>(rows.size()));
+  }
 }
 
 std::vector<float> MeanOfAllRows(ConstRowSpan uploads) {

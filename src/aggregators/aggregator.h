@@ -108,12 +108,23 @@ size_t TrustedCount(double gamma, size_t n);
 /// blocked by coordinate under the thread pool. Per-coordinate fold
 /// order depends only on `rows`: every coordinate sums its rows with
 /// Axpy in that order and then scales by 1/|rows|, so the result is
-/// invariant to pool size.
+/// invariant to pool size. Coordinates that overflow float are redone
+/// by RedoOverflowedMean.
 std::vector<float> MeanOfSpanRows(ConstRowSpan uploads,
                                   const std::vector<size_t>& rows);
 
 /// MeanOfSpanRows over every row in index order.
 std::vector<float> MeanOfAllRows(ConstRowSpan uploads);
+
+/// Recomputes in double every non-finite out[k], k in [lo, hi), as
+/// Σ_{r in rows} w_r·row_r[k] / |rows|, with w_r = weights[r] (1 when
+/// `weights` is null). A float fold over finite rows near ±FLT_MAX
+/// overflows although their weighted mean (|w_r| <= 1) is finite;
+/// finite coordinates keep their bits, non-finite inputs stay
+/// non-finite.
+void RedoOverflowedMean(ConstRowSpan uploads, const std::vector<size_t>& rows,
+                        const float* weights, float* out, size_t lo,
+                        size_t hi);
 
 }  // namespace agg
 }  // namespace dpbr

@@ -1,6 +1,7 @@
 #include "aggregators/norm_bound.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/thread_pool.h"
 #include "stats/summary.h"
@@ -35,6 +36,9 @@ Result<std::vector<float>> NormBoundAggregator::Aggregate(
     }
   });
   ops::Scale(1.0f / static_cast<float>(n), out.data(), ctx.dim);
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  RedoOverflowedMean(uploads, rows, scale.data(), out.data(), 0, ctx.dim);
   return out;
 }
 

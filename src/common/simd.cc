@@ -328,8 +328,6 @@ const char* IsaName(IsaLevel level) {
   switch (level) {
     case IsaLevel::kScalar:
       return "scalar";
-    case IsaLevel::kSse2:
-      return "sse2";
     case IsaLevel::kAvx2:
       return "avx2";
     case IsaLevel::kAvx512:
@@ -353,9 +351,6 @@ IsaLevel DetectedIsa() {
     if (__builtin_cpu_supports("avx2") && detail::Avx2Table() != nullptr) {
       return IsaLevel::kAvx2;
     }
-    if (__builtin_cpu_supports("sse2") && detail::Sse2Table() != nullptr) {
-      return IsaLevel::kSse2;
-    }
 #endif
     return IsaLevel::kScalar;
   }();
@@ -368,8 +363,6 @@ const SimdKernels* KernelsFor(IsaLevel level) {
     return nullptr;  // build or CPU cannot run this tier
   }
   switch (level) {
-    case IsaLevel::kSse2:
-      return detail::Sse2Table();
     case IsaLevel::kAvx2:
       return detail::Avx2Table();
     case IsaLevel::kAvx512:
@@ -399,11 +392,16 @@ const SimdKernels& Kernels() {
 
 IsaLevel ActiveIsa() { return Kernels().isa; }
 
+namespace {
+
+// Retargets the active table (checked against KernelsFor).
 void SetActiveIsa(IsaLevel level) {
   const SimdKernels* table = KernelsFor(level);
   DPBR_CHECK(table != nullptr);
   g_active.store(table, std::memory_order_release);
 }
+
+}  // namespace
 
 ScopedForceIsa::ScopedForceIsa(IsaLevel level) : prev_(ActiveIsa()) {
   SetActiveIsa(level);

@@ -1,12 +1,13 @@
 // Runtime-dispatched SIMD kernel layer for the hot inner loops.
 //
 // Layering (the avx_traits idiom): `simd_traits.h` defines width-templated
-// intrinsic traits (scalar / SSE2 / AVX2 / AVX-512) plus generic kernels
-// written once against the trait interface; each ISA gets its own
-// translation unit compiled with exactly the -m flags it needs, and this
-// header exposes one table of function pointers per ISA. A one-time CPUID
-// probe (plus the DPBR_FORCE_SCALAR environment override) picks the active
-// table; hot loops fetch it via Kernels() and stay ISA-agnostic.
+// intrinsic traits (AVX2 / AVX-512) plus generic kernels written once
+// against the trait interface; each ISA gets its own translation unit
+// compiled with exactly the -m flags it needs, and this header exposes
+// one table of function pointers per ISA (scalar, AVX2, AVX-512; x86
+// CPUs without AVX2 run the scalar table). A one-time CPUID probe (plus
+// the DPBR_FORCE_SCALAR environment override) picks the active table;
+// hot loops fetch it via Kernels() and stay ISA-agnostic.
 //
 // Determinism contract:
 //  * The scalar kernels in simd.cc are the bitwise reference. Every SIMD
@@ -29,8 +30,8 @@
 //    back to the scalar wedge/tail code.
 //
 // Thread-safety: the active table is an atomic pointer resolved once at
-// first use. ScopedForceIsa/SetActiveIsa may retarget it between parallel
-// dispatches (tests and benches do); never while a dispatch is in flight.
+// first use. ScopedForceIsa may retarget it between parallel dispatches
+// (tests and benches do); never while a dispatch is in flight.
 
 #ifndef DPBR_COMMON_SIMD_H_
 #define DPBR_COMMON_SIMD_H_
@@ -41,15 +42,15 @@
 namespace dpbr {
 namespace simd {
 
-/// Instruction-set tiers, in increasing order of capability.
+/// Instruction-set tiers, in increasing order of capability (KernelsFor
+/// compares the ordinals).
 enum class IsaLevel : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
   kAvx512 = 3,
 };
 
-/// Human-readable name ("scalar", "sse2", "avx2", "avx512").
+/// Human-readable name ("scalar", "avx2", "avx512").
 const char* IsaName(IsaLevel level);
 
 /// The pinned fold width for the chained reduction kernels. Independent
@@ -189,11 +190,6 @@ bool ForceScalarFromEnv();
 /// Table for an explicit tier, or nullptr when the build or the CPU
 /// cannot run it. KernelsFor(kScalar) never returns null.
 const SimdKernels* KernelsFor(IsaLevel level);
-
-/// Retargets the active table (checked against KernelsFor). Prefer
-/// ScopedForceIsa; this exists for main()s honoring a --force_scalar
-/// flag before any dispatch runs.
-void SetActiveIsa(IsaLevel level);
 
 /// RAII override of the active table for tests and benchmarks. Aborts if
 /// the requested tier is unavailable (callers should probe KernelsFor

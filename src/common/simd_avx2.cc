@@ -265,8 +265,7 @@ size_t Avx2ZigTryFillF32(uint64_t key, uint64_t counter, const double* w,
 
 const SimdKernels* detail::Avx2Table() {
   static const SimdKernels table = [] {
-    const SimdKernels* base = Sse2Table();
-    SimdKernels t = base != nullptr ? *base : ScalarTable();
+    SimdKernels t = ScalarTable();
     t.isa = IsaLevel::kAvx2;
     t.axpy_f32 = &K8::AxpyF32;
     t.im2col_f32 = &K8::Im2ColF32;

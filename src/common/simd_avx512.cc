@@ -147,8 +147,7 @@ void Avx512GemmNtF32(size_t m, size_t n, size_t k, const float* a,
 
 const SimdKernels* detail::Avx512Table() {
   static const SimdKernels table = [] {
-    const SimdKernels* base = Avx2Table();
-    SimdKernels t = base != nullptr ? *base : ScalarTable();
+    SimdKernels t = *Avx2Table();  // non-null: this TU implies __AVX2__
     t.isa = IsaLevel::kAvx512;
     t.axpy_f32 = &K8::AxpyF32;
     t.im2col_f32 = &K8::Im2ColF32;

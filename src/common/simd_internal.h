@@ -16,12 +16,12 @@ namespace detail {
 const SimdKernels& ScalarTable();
 
 /// Per-ISA tables, or nullptr when the build cannot target the ISA
-/// (non-x86, or the compiler lacks the -m flags). Each builder starts
-/// from the next table down and overrides what it specializes, so every
+/// (non-x86, or the compiler lacks the -m flags). The chain is scalar →
+/// AVX2 → AVX-512: each builder starts from the table below it and
+/// overrides what it specializes (AVX2 overrides every slot), so every
 /// slot stays populated. Calling the builder is safe on any CPU; calling
 /// through the table it returns requires the ISA (the dispatcher checks
 /// CPUID first).
-const SimdKernels* Sse2Table();
 const SimdKernels* Avx2Table();
 const SimdKernels* Avx512Table();
 

@@ -1,31 +1,30 @@
 // Width-templated intrinsic traits and the generic kernels built on them.
 //
-// Included ONLY by the per-ISA translation units (simd_sse2.cc,
-// simd_avx2.cc, simd_avx512.cc), each compiled with exactly the -m flags
-// its trait needs; simd.h stays intrinsic-free. Every trait exposes the
-// same static interface:
+// Included ONLY by the per-ISA translation units (simd_avx2.cc,
+// simd_avx512.cc), each compiled with exactly the -m flags its trait
+// needs; simd.h stays intrinsic-free. Every trait exposes the same
+// static interface:
 //
 //   VF / kF        native float vector type / lane count
 //   VD / kD        native double vector type / lane count (kD = kF / 2)
 //   MF             float compare-mask type (vector or AVX-512 k-mask)
+//   MT             lane-mask type for partial vectors
 //   Set1F/LoadF/StoreF/AddF/SubF/MulF        float vector ops (never FMA)
 //   Set1D/AddD/SubD/MulD                     double vector ops
 //   CvtLoF2D/CvtHiF2D/CvtD2F                 float<->double widen/narrow
 //   CmpLtZeroF/CmpLeZeroF/CmpEqZeroF         ordered compares vs 0
 //   ZeroWhere/SelectF                        mask-driven blends
 //   AllGtZeroF/AllFiniteF                    whole-vector predicates
-//   kMaskedTail, MT                          partial-vector support
-//   TailMask/LaneRange                       (AVX2, AVX-512; SSE2 runs
-//   LoadTailF/StoreTailF/AddWhere            scalar tails): lane masks,
-//   ExpandLoadF                              masked load/store, an add
-//                                            on the masked lanes only,
+//   TailMask/LaneRange                       lane masks,
+//   LoadTailF/StoreTailF/AddWhere            masked load/store, an add
+//   ExpandLoadF                              on the masked lanes only,
 //                                            and a load into a lane range
 //
 // Kernels8<Traits> then implements the element-wise kernel bodies and
 // the register-blocked GEMM tile once. The chained reductions (pinned
 // 8-lane folds) and the ziggurat batch kernel are hand-written per ISA
 // in their translation units because their shape is width-specific by
-// definition; GemmNt8 blocks those per-ISA 8-lane accumulators into the
+// definition; GemmNt8 blocks the AVX2 8-lane accumulator into the
 // dot-product GEMM kernel.
 //
 // All kernels handle arbitrary n: full vectors in the main loop, then a
@@ -43,61 +42,13 @@
 
 #include "common/simd.h"
 
-#if defined(__SSE2__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
 namespace dpbr {
 namespace simd {
 namespace detail {
-
-#if defined(__SSE2__)
-
-struct TraitsSse2 {
-  using VF = __m128;
-  using VD = __m128d;
-  using MF = __m128;
-  using MT = int;  // unused: SSE2 has no masked loads
-  static constexpr size_t kF = 4;
-  static constexpr size_t kD = 2;
-  static constexpr bool kMaskedTail = false;
-
-  static VF Set1F(float a) { return _mm_set1_ps(a); }
-  static VF LoadF(const float* p) { return _mm_loadu_ps(p); }
-  static void StoreF(float* p, VF v) { _mm_storeu_ps(p, v); }
-  static VF AddF(VF a, VF b) { return _mm_add_ps(a, b); }
-  static VF SubF(VF a, VF b) { return _mm_sub_ps(a, b); }
-  static VF MulF(VF a, VF b) { return _mm_mul_ps(a, b); }
-
-  static VD Set1D(double a) { return _mm_set1_pd(a); }
-  static VD AddD(VD a, VD b) { return _mm_add_pd(a, b); }
-  static VD SubD(VD a, VD b) { return _mm_sub_pd(a, b); }
-  static VD MulD(VD a, VD b) { return _mm_mul_pd(a, b); }
-
-  static VD CvtLoF2D(VF v) { return _mm_cvtps_pd(v); }
-  static VD CvtHiF2D(VF v) { return _mm_cvtps_pd(_mm_movehl_ps(v, v)); }
-  static VF CvtD2F(VD lo, VD hi) {
-    return _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi));
-  }
-
-  static MF CmpLtZeroF(VF v) { return _mm_cmplt_ps(v, _mm_setzero_ps()); }
-  static MF CmpLeZeroF(VF v) { return _mm_cmple_ps(v, _mm_setzero_ps()); }
-  static MF CmpEqZeroF(VF v) { return _mm_cmpeq_ps(v, _mm_setzero_ps()); }
-  static VF ZeroWhere(MF m, VF v) { return _mm_andnot_ps(m, v); }
-  static VF SelectF(MF m, VF a, VF b) {
-    return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
-  }
-  static bool AllGtZeroF(VF v) {
-    return _mm_movemask_ps(_mm_cmpgt_ps(v, _mm_setzero_ps())) == 0xF;
-  }
-  static bool AllFiniteF(VF v) {
-    VF abs = _mm_and_ps(v, _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF)));
-    VF inf = _mm_castsi128_ps(_mm_set1_epi32(0x7F800000));
-    return _mm_movemask_ps(_mm_cmplt_ps(abs, inf)) == 0xF;
-  }
-};
-
-#endif  // __SSE2__
 
 #if defined(__AVX2__)
 
@@ -108,7 +59,6 @@ struct TraitsAvx2 {
   using MT = __m256i;
   static constexpr size_t kF = 8;
   static constexpr size_t kD = 4;
-  static constexpr bool kMaskedTail = true;
 
   static VF Set1F(float a) { return _mm256_set1_ps(a); }
   static VF LoadF(const float* p) { return _mm256_loadu_ps(p); }
@@ -194,7 +144,6 @@ struct TraitsAvx2 {
 struct Lanes8Avx2 {
   using V = __m256;
   using Mask = __m256i;
-  static constexpr bool kVectorEpilogue = true;
 
   static V Zero() { return _mm256_setzero_ps(); }
   static V Load(const float* p) { return _mm256_loadu_ps(p); }
@@ -235,7 +184,6 @@ struct TraitsAvx512 {
   using MT = __mmask16;
   static constexpr size_t kF = 16;
   static constexpr size_t kD = 8;
-  static constexpr bool kMaskedTail = true;
 
   static VF Set1F(float a) { return _mm512_set1_ps(a); }
   static VF LoadF(const float* p) { return _mm512_loadu_ps(p); }
@@ -330,11 +278,11 @@ struct Kernels8 {
     for (; i < n; ++i) y[i] += a * x[i];
   }
 
-  // im2col (SimdKernels::im2col_f32) for masked tiers: each column-
-  // matrix row is written a vector at a time, its in-image span
-  // expand-loaded into place from the first in-image element and +0
-  // elsewhere — one load and one store per vector, where the scalar
-  // reference issues a memset/memcpy/memset triple per row.
+  // im2col (SimdKernels::im2col_f32): each column-matrix row is written
+  // a vector at a time, its in-image span expand-loaded into place from
+  // the first in-image element and +0 elsewhere — one load and one store
+  // per vector, where the scalar reference issues a memset/memcpy/memset
+  // triple per row.
   static void Im2ColF32(const float* x, size_t channels, size_t h,
                         size_t w, size_t kernel, size_t pad, float* col) {
     size_t oh = h + 2 * pad - kernel + 1;
@@ -379,13 +327,13 @@ struct Kernels8 {
     }
   }
 
-  // col2im (SimdKernels::col2im_f32) as a gather, for masked tiers: a
-  // chunk of one dx row stays in a register while every tap that touches
-  // it adds its shifted column-row segment on the lanes it covers, in
-  // (kh, kw) order — the order the scalar scatter gives each element —
-  // and is stored once. (Scattering tap by tap re-loads rows that the
-  // previous tap has only just stored.) The masked loads start from the
-  // lane-0 address of each segment; masked-off lanes are never touched.
+  // col2im (SimdKernels::col2im_f32) as a gather: a chunk of one dx row
+  // stays in a register while every tap that touches it adds its shifted
+  // column-row segment on the lanes it covers, in (kh, kw) order — the
+  // order the scalar scatter gives each element — and is stored once.
+  // (Scattering tap by tap re-loads rows that the previous tap has only
+  // just stored.) The masked loads start from the lane-0 address of each
+  // segment; masked-off lanes are never touched.
   static void Col2ImF32(const float* col, size_t channels, size_t h,
                         size_t w, size_t kernel, size_t pad, float* dx) {
     size_t oh = h + 2 * pad - kernel + 1;
@@ -427,7 +375,7 @@ struct Kernels8 {
   //
   // Blocks of four C rows (then the 3/2/1-row remainder), each swept
   // left to right in strips of two vectors, one vector, and one masked
-  // (or scalar) partial vector. A block's C values live in registers
+  // partial vector. A block's C values live in registers
   // across the whole ascending-p loop, so each element runs
   // c = c + A(i,p)·B(p,j) (MulF then AddF) exactly as one axpy per (i, p)
   // would. Rows outermost keeps C writes sequential, which the k = 1
@@ -501,7 +449,7 @@ struct Kernels8 {
   }
 
   // Rows [i0, i0 + R) across every column: strips of two vectors, one
-  // vector, then one masked partial vector (or scalar columns).
+  // vector, then one masked partial vector.
   template <size_t R>
   static void GemmRows(const GemmOperands& g, size_t i0, size_t n) {
     const MT none{};
@@ -511,29 +459,7 @@ struct Kernels8 {
     }
     for (; j + T::kF <= n; j += T::kF) GemmBlock<R, 1, false>(g, i0, j, none);
     if (j == n) return;
-    if constexpr (T::kMaskedTail) {
-      GemmBlock<R, 1, true>(g, i0, j, T::TailMask(n - j));
-    } else {
-      GemmScalarColumns(g, i0, i0 + R, j, n);
-    }
-  }
-
-  // Scalar columns [j0, n) of rows [i0, i1), for tiers without masked
-  // loads.
-  static void GemmScalarColumns(const GemmOperands& g, size_t i0, size_t i1,
-                                size_t j0, size_t n) {
-    for (size_t i = i0; i < i1; ++i) {
-      float* crow = g.c + i * g.ldc;
-      float start = g.row_init != nullptr ? g.row_init[i] : 0.0f;
-      for (size_t j = j0; j < n; ++j) {
-        float acc = g.accumulate ? crow[j] : start;
-        const float* ap = g.a + i * g.a_row_stride;
-        for (size_t p = 0; p < g.k; ++p) {
-          acc += ap[p * g.a_col_stride] * g.b[p * g.ldb + j];
-        }
-        crow[j] = acc;
-      }
-    }
+    GemmBlock<R, 1, true>(g, i0, j, T::TailMask(n - j));
   }
 
   static void GemmAccF32(size_t m, size_t n, size_t k, const float* a,
@@ -694,19 +620,20 @@ struct Kernels8 {
 };
 
 
-// Dot-product GEMM block kernel (SimdKernels::gemm_nt_f32) over an ISA's
-// 8-lane accumulator L, whose L::V holds fold lanes 0..7 (one __m256 on
-// AVX2, two __m128 on SSE2) with Zero/Load/Add/Mul/Store. Each kRows ×
+// Dot-product GEMM block kernel (SimdKernels::gemm_nt_f32) over an 8-lane
+// accumulator L (Lanes8Avx2), whose L::V holds fold lanes 0..7 with
+// Zero/Load/Add/Mul/Store. Each kRows ×
 // kCols block of outputs shares its A and B loads; every output keeps
 // its own accumulator, k % 8 tail and fold tree, so it equals one
 // dot8_f32 call bit for bit. Leftover rows run as 1 × kCols blocks
 // (Linear's forward is a single row).
 //
-// Epilogue: by default each output spills its lanes and runs dot8's
-// scalar tail and fold. An L with kVectorEpilogue also provides
-// TailMask/LoadTail/AddWhere (the tail as a masked multiply added into
-// the live lanes only) and Fold4 (four folds at once, each lane of every
-// tree level one output's own step), which blocks of 4 or 8 outputs use.
+// Epilogue: blocks of 4 or 8 outputs run the tail as a masked multiply
+// added into the live lanes only (L::TailMask/LoadTail/AddWhere) and
+// fold four outputs at once (L::Fold4, each lane of every tree level one
+// output's own step). Other blocks spill each output's lanes and run
+// dot8's scalar tail and fold.
+
 // dot8's fold tree over one accumulator's spilled lanes.
 inline float FoldLanes8(const float* lanes) {
   float s01 = lanes[0] + lanes[1];
@@ -737,7 +664,7 @@ struct GemmNt8 {
       }
     }
     float d[R * C];
-    if constexpr (L::kVectorEpilogue && R * C % 4 == 0) {
+    if constexpr (R * C % 4 == 0) {
       if (p < k) {
         auto mask = L::TailMask(k - p);
         V at[R];

@@ -1,5 +1,9 @@
 #include "common/thread_pool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 
 #include "common/logging.h"
@@ -148,9 +152,20 @@ bool ThreadPool::Run(size_t begin, size_t count,
   return true;
 }
 
+size_t ThreadPool::DefaultSize() {
+  size_t cpus = std::thread::hardware_concurrency();
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&mask));
+  }
+#endif
+  return std::clamp<size_t>(cpus, 1, 16);
+}
+
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool(std::max<size_t>(
-      1, std::min<size_t>(16, std::thread::hardware_concurrency())));
+  static ThreadPool pool(DefaultSize());
   return pool;
 }
 

@@ -36,8 +36,14 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size() + 1; }
 
-  /// Process-wide pool sized to the hardware concurrency (lazily created).
+  /// Process-wide pool of DefaultSize() threads, sized by the first
+  /// thread to call it (lazily created).
   static ThreadPool& Global();
+
+  /// The CPUs the calling thread may run on (its sched_getaffinity mask,
+  /// so a `taskset -c 0` run gets 1), else hardware_concurrency() where
+  /// the mask is unavailable; clamped to [1, 16].
+  static size_t DefaultSize();
 
   /// Pool the single-argument ParallelFor overload dispatches to: the
   /// ScopedPoolOverride in effect, else Global().

@@ -196,8 +196,7 @@ void ExpectIsaInvariant(const Fn& make_result) {
     want = make_result();
   }
   for (simd::IsaLevel level :
-       {simd::IsaLevel::kSse2, simd::IsaLevel::kAvx2,
-        simd::IsaLevel::kAvx512}) {
+       {simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
     if (simd::KernelsFor(level) == nullptr) continue;
     simd::ScopedForceIsa force(level);
     std::vector<float> got = make_result();

@@ -2,9 +2,11 @@
 // enormous uploads, every robust rule must stay near the benign mean
 // while the plain mean is dragged away. This is the textbook behaviour
 // the paper's Table 1 row "✗ for > 50%" presumes in the minority regime.
-// Degenerate cohorts (one or two rows, identical rows, a constant column)
-// must give every rule a result or a Status, never an abort: today only
-// Krum refuses (fewer than 3 rows), and the rest return finite updates.
+// Degenerate cohorts (one or two rows, identical rows, a constant column,
+// denormal-only rows, finite rows near ±FLT_MAX whose squares overflow
+// float) must give every rule a result or a Status, never an abort:
+// today only Krum refuses (fewer than 3 rows), and the rest return
+// finite updates.
 
 #include <gtest/gtest.h>
 
@@ -157,6 +159,26 @@ std::vector<BoundaryShape> BoundaryShapes() {
     flat.rows.back()[2] = 0.75f;
   }
   shapes.push_back(flat);
+  // Both extremes pass Server::Step's finite-value sanitizer, so a
+  // Byzantine client can send them. ldexp(g, -130) is a denormal for
+  // every Gaussian draw |g| < 16.
+  BoundaryShape denormal{"denormal_only", {}};
+  for (int i = 0; i < 5; ++i) {
+    denormal.rows.push_back(row());
+    for (float& v : denormal.rows.back()) v = std::ldexp(v, -130);
+  }
+  shapes.push_back(denormal);
+  // |v| in [2.5e38, 3.3e38] with mixed signs: finite, but v·v and the
+  // sum of two same-signed values overflow float.
+  BoundaryShape huge{"near_float_max", {}};
+  for (int i = 0; i < 5; ++i) {
+    huge.rows.push_back(row());
+    for (float& v : huge.rows.back()) {
+      float mag = 2.5e38f + 0.8e38f * static_cast<float>(rng.Uniform());
+      v = v < 0.0f ? -mag : mag;
+    }
+  }
+  shapes.push_back(huge);
   return shapes;
 }
 

@@ -1,5 +1,5 @@
 // The SIMD dispatch layer's determinism contract, enforced per ISA:
-//  * every kernel table the host can run (scalar, SSE2, AVX2, AVX-512)
+//  * every kernel table the host can run (scalar, AVX2, AVX-512)
 //    produces BITWISE-identical output to the scalar reference table, on
 //    every size in an odd-size sweep chosen to hit full vectors, ragged
 //    tails, and sub-vector-width inputs,
@@ -41,8 +41,8 @@ using simd::SimdKernels;
 // Every tier, in order; tests probe KernelsFor and skip what the build
 // or CPU cannot run. Scalar is included on purpose: running the
 // reference against itself keeps the harness honest.
-const IsaLevel kAllIsas[] = {IsaLevel::kScalar, IsaLevel::kSse2,
-                             IsaLevel::kAvx2, IsaLevel::kAvx512};
+const IsaLevel kAllIsas[] = {IsaLevel::kScalar, IsaLevel::kAvx2,
+                             IsaLevel::kAvx512};
 
 // Full vectors (8/16/64), ragged tails (9/17/65/67), and sizes smaller
 // than any vector width (0..7) — the block-constant audit: a kernel
@@ -163,14 +163,14 @@ TEST(SimdDispatchTest, ScopedForceIsaRetargetsAndRestores) {
   }
   EXPECT_EQ(simd::ActiveIsa(), before);
   // Nested overrides unwind in order.
-  if (simd::KernelsFor(IsaLevel::kSse2) != nullptr) {
-    simd::ScopedForceIsa outer(IsaLevel::kSse2);
-    EXPECT_EQ(simd::ActiveIsa(), IsaLevel::kSse2);
+  if (simd::KernelsFor(IsaLevel::kAvx2) != nullptr) {
+    simd::ScopedForceIsa outer(IsaLevel::kAvx2);
+    EXPECT_EQ(simd::ActiveIsa(), IsaLevel::kAvx2);
     {
       simd::ScopedForceIsa inner(IsaLevel::kScalar);
       EXPECT_EQ(simd::ActiveIsa(), IsaLevel::kScalar);
     }
-    EXPECT_EQ(simd::ActiveIsa(), IsaLevel::kSse2);
+    EXPECT_EQ(simd::ActiveIsa(), IsaLevel::kAvx2);
   }
   EXPECT_EQ(simd::ActiveIsa(), before);
 }
@@ -443,7 +443,7 @@ TEST(SimdKernelTest, TransposeMatchesIndexArithmetic) {
 // per-row loops the tiles replaced (one axpy_f32 per (i, p), one dot8_f32
 // per element) bit for bit. The sweep covers every row remainder of the
 // 4-row (NN/TN) and 2-row (NT) blocks, every column remainder of the
-// SSE2/AVX2/AVX-512 strips, and k on both sides of the 8-lane fold.
+// AVX2/AVX-512 strips, and k on both sides of the 8-lane fold.
 // Payloads carry NaN, ±Inf, ±0 and denormals; a NaN output only has to
 // be NaN on both sides, because its payload bits are not part of the
 // contract (x86 propagates the first NaN operand, and a compiler may

@@ -1,7 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -171,6 +173,26 @@ TEST(ParallelForTest, GlobalPoolWorks) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i));
   }
+}
+
+TEST(ThreadPoolTest, DefaultSizeFollowsAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  size_t allowed = static_cast<size_t>(CPU_COUNT(&saved));
+  EXPECT_EQ(ThreadPool::DefaultSize(), std::min<size_t>(allowed, 16));
+
+  // Narrow this thread's mask to its first allowed CPU, as
+  // `taskset -c <cpu>` would.
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  size_t pinned = ThreadPool::DefaultSize();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(ParallelForTest, SingleThreadPoolRunsInline) {

@@ -186,8 +186,7 @@ TEST(ServerTest, SanitizeNeutralizesIdenticallyAcrossSimdTiers) {
   EXPECT_EQ(want[dim], 0.0f);
   EXPECT_EQ(want[2 * dim + 2], 1.0f);
   for (simd::IsaLevel level :
-       {simd::IsaLevel::kSse2, simd::IsaLevel::kAvx2,
-        simd::IsaLevel::kAvx512}) {
+       {simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
     if (simd::KernelsFor(level) == nullptr) continue;
     std::vector<float> got = run(level);
     ASSERT_EQ(want.size(), got.size());

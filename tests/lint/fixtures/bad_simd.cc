@@ -1,5 +1,5 @@
 // Known-bad fixture: ISA intrinsics and the raw per-ISA dispatch
-// tables reached from an ordinary TU. Only simd_{sse2,avx2,avx512}.cc
+// tables reached from an ordinary TU. Only simd_{avx2,avx512}.cc
 // (plus simd_traits.h for the spellings) may touch intrinsics, and
 // only the dispatcher and its equivalence test may see
 // simd_internal.h. The -mavx2 flag below comes from the synthetic

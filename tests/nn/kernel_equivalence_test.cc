@@ -527,7 +527,7 @@ TEST(KernelEquivalenceTest, FusedMatchesUnfusedBitwiseAcrossPools) {
 TEST(KernelEquivalenceTest, FusedMatchesUnfusedBitwiseAcrossSimdTiers) {
   constexpr size_t kN = 7;
   for (simd::IsaLevel level :
-       {simd::IsaLevel::kScalar, simd::IsaLevel::kSse2, simd::IsaLevel::kAvx2,
+       {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
         simd::IsaLevel::kAvx512}) {
     if (simd::KernelsFor(level) == nullptr) continue;
     simd::ScopedForceIsa force(level);
@@ -718,8 +718,7 @@ TEST(KernelEquivalenceTest, BatchedModelPathBitwiseAcrossSimdTiers) {
       want = RunBatchedModelUnderPool(threads);
     }
     for (simd::IsaLevel level :
-         {simd::IsaLevel::kSse2, simd::IsaLevel::kAvx2,
-          simd::IsaLevel::kAvx512}) {
+         {simd::IsaLevel::kAvx2, simd::IsaLevel::kAvx512}) {
       if (simd::KernelsFor(level) == nullptr) continue;
       simd::ScopedForceIsa force(level);
       BatchedModelRun got = RunBatchedModelUnderPool(threads);
